@@ -145,8 +145,7 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
     }
     if (schema == "perf") {
         // pim_perf's BENCH_perf.json throughput report (snoop-filter
-        // A/B rows, plus par-core rows under --par-jobs; par_jobs and
-        // speedup_vs_seq appear on every row — 0 / 1.0 on A/B rows).
+        // A/B rows).
         *out = {"name",
                 "scale",
                 "pes",
@@ -159,8 +158,6 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
                 "rows.0.bus_transactions",
                 "rows.0.fingerprint",
                 "rows.0.speedup_vs_unfiltered",
-                "rows.0.par_jobs",
-                "rows.0.speedup_vs_seq",
                 "rows.0.cluster_size",
                 "rows.0.hop_cycles",
                 "rows.0.inter_cluster_cycles"};

@@ -13,14 +13,6 @@
  *      pim_conform --fuzz --seed=7 --traces=50 --len=300
  *  - replay: run a shrunk reproducer script back under full checking.
  *      pim_conform --replay='P0:W@0=1;P1:R@0'
- *  - parallel-core differential fuzzing: seeded random workload shapes
- *    (lock and optimized-command mixes, clustered topologies,
- *    write-through, snoop-filter off) run once sequentially and once on
- *    the concurrent core with a random jobs count, comparing every
- *    observable — fingerprint, makespan, bus transactions and cycles,
- *    inter-cluster cycles, protocol hash and the full protocol
- *    snapshot. Each trace reproduces alone via its printed seed.
- *      pim_conform --par-fuzz --seed=7 --traces=24
  *
  * --protocol=NAME selects the coherence-protocol variant under test
  * (see --list-protocols; default pim) and --replacement=NAME the
@@ -37,12 +29,9 @@
 #include <string>
 
 #include "common/options.h"
-#include "common/rng.h"
 #include "common/sim_fault.h"
 #include "model/explorer.h"
 #include "model/fuzzer.h"
-#include "sim/par_workload.h"
-#include "sim/parallel_core.h"
 #include "sim/system.h"
 
 using namespace pim;
@@ -130,141 +119,6 @@ verdict(const Options& opt, bool diverged, std::size_t shrunk_len)
     return 0;
 }
 
-// ---------------------------------------------------------------------
-// --par-fuzz: parallel-core jobs-invariance differential fuzzing
-// ---------------------------------------------------------------------
-
-/** Every observable the sequential and concurrent cores must agree on. */
-struct ParObservables {
-    std::uint64_t fingerprint = 0;
-    Cycles makespan = 0;
-    std::uint64_t busTransactions = 0;
-    Cycles busCycles = 0;
-    Cycles interClusterCycles = 0;
-    std::uint64_t protocolHash = 0;
-    std::uint64_t refTotal = 0;
-    std::vector<std::uint64_t> snapshot;
-
-    bool
-    operator==(const ParObservables& o) const
-    {
-        return fingerprint == o.fingerprint && makespan == o.makespan &&
-               busTransactions == o.busTransactions &&
-               busCycles == o.busCycles &&
-               interClusterCycles == o.interClusterCycles &&
-               protocolHash == o.protocolHash && refTotal == o.refTotal &&
-               snapshot == o.snapshot;
-    }
-};
-
-ParObservables
-runParTrace(const ParShape& shape, SystemConfig config, unsigned jobs,
-            ParallelRunResult* result_out)
-{
-    ParWorkloadSource source(shape, config.numPes,
-                             config.cache.geometry.blockWords);
-    config.memoryWords = source.memoryWords();
-    System system(config);
-    ParallelCoreOptions options;
-    options.jobs = jobs;
-    const ParallelRunResult result =
-        runParallelCore(system, source, options);
-    if (result_out != nullptr)
-        *result_out = result;
-
-    ParObservables obs;
-    obs.fingerprint = result.fingerprint;
-    obs.makespan = system.makespan();
-    for (int p = 0; p < kNumBusPatterns; ++p)
-        obs.busTransactions += system.bus().stats().transByPattern[p];
-    obs.busCycles = system.bus().stats().totalCycles;
-    obs.interClusterCycles = system.bus().stats().interClusterCycles;
-    obs.protocolHash = system.protocolHash(0, config.memoryWords);
-    obs.refTotal = system.refStats().total();
-    obs.snapshot = system.protocolSnapshot(0, config.memoryWords);
-    return obs;
-}
-
-/**
- * Seeded random shape x jobs differential fuzz. Trace @c i draws from
- * its own Rng(seed + i), so any divergence reproduces alone with
- * `--par-fuzz --seed=<seed+i> --traces=1`.
- */
-int
-parFuzzMain(const Options& opt)
-{
-    const auto seed = static_cast<std::uint64_t>(opt.getInt("seed", 1));
-    const auto traces =
-        static_cast<std::uint32_t>(opt.getInt("traces", 24));
-    const unsigned pinned_jobs =
-        static_cast<unsigned>(opt.getInt("jobs", 0));
-
-    std::uint64_t refs = 0;
-    std::uint32_t concurrent = 0;
-    for (std::uint32_t i = 0; i < traces; ++i) {
-        Rng rng(seed + i);
-        ParShape shape;
-        shape.stepsPerPe = 200 + rng.below(600);
-        shape.sharedWords = 64u << rng.below(4);
-        shape.privateWords = 256u << rng.below(3);
-        shape.sharedPct = rng.below(30);
-        shape.writePct = rng.below(100);
-        shape.lockPct = rng.chance(1, 2) ? rng.below(30) : 0;
-        shape.optPct = rng.chance(1, 2) ? rng.below(40) : 0;
-        shape.seed = rng.next();
-
-        SystemConfig config;
-        config.numPes = 2 + rng.below(7);
-        if (rng.chance(1, 3)) {
-            config.cluster.clusterSize = 2;
-            config.cluster.hopCycles = 1 + rng.below(6);
-        }
-        if (rng.chance(1, 4))
-            config.cache.writeThrough = true;
-        if (rng.chance(1, 3))
-            config.snoopFilter = false;
-        const unsigned jobs =
-            pinned_jobs != 0 ? pinned_jobs : 2 + rng.below(7);
-
-        ParallelRunResult seq_result;
-        const ParObservables seq =
-            runParTrace(shape, config, 1, &seq_result);
-        ParallelRunResult par_result;
-        const ParObservables par =
-            runParTrace(shape, config, jobs, &par_result);
-        refs += seq_result.completedRefs;
-        if (!par_result.serialized)
-            ++concurrent;
-
-        if (!(par == seq) ||
-            par_result.completedRefs != seq_result.completedRefs) {
-            std::printf(
-                "DIVERGENCE: trace %u (seed %llu), %u PEs, jobs=%u\n"
-                "  seq: fp=%016llx makespan=%llu bus=%llu proto=%016llx\n"
-                "  par: fp=%016llx makespan=%llu bus=%llu proto=%016llx\n"
-                "replay: pim_conform --par-fuzz --seed=%llu --traces=1 "
-                "--jobs=%u\n",
-                i, static_cast<unsigned long long>(seed + i),
-                config.numPes, jobs,
-                static_cast<unsigned long long>(seq.fingerprint),
-                static_cast<unsigned long long>(seq.makespan),
-                static_cast<unsigned long long>(seq.busTransactions),
-                static_cast<unsigned long long>(seq.protocolHash),
-                static_cast<unsigned long long>(par.fingerprint),
-                static_cast<unsigned long long>(par.makespan),
-                static_cast<unsigned long long>(par.busTransactions),
-                static_cast<unsigned long long>(par.protocolHash),
-                static_cast<unsigned long long>(seed + i), jobs);
-            return 1;
-        }
-    }
-    std::printf("par-fuzz: %u traces, %llu refs, %u concurrent-core "
-                "runs, all observables jobs-invariant\nOK\n",
-                traces, static_cast<unsigned long long>(refs),
-                concurrent);
-    return 0;
-}
-
 } // namespace
 
 int
@@ -286,18 +140,6 @@ main(int argc, char** argv)
                         protocolKindName(static_cast<ProtocolKind>(i)));
         }
         return 0;
-    }
-
-    if (opt.getBool("par-fuzz")) {
-        try {
-            return parFuzzMain(opt);
-        } catch (const SimFault& fault) {
-            std::fprintf(stderr,
-                         "pim_conform: error: kind=%s exit=%d %s\n",
-                         simFaultKindName(fault.kind()),
-                         simFaultExitCode(fault.kind()), fault.what());
-            return simFaultExitCode(fault.kind());
-        }
     }
 
     const HarnessConfig harness = harnessFromOptions(opt);

@@ -15,15 +15,21 @@
  * simulated makespan, the bus transaction count and the protocol hash
  * of the shared span, and exits 1 on any mismatch.
  *
- * The driver is deliberately lean (no auditor, watchdog, event sinks or
- * ref tracing) so the measurement isolates System::access + Bus rather
- * than the observability stack. Lock traffic holds at most one lock per
- * PE, which cannot deadlock (no hold-and-wait).
+ * The workload is ParWorkloadSource with every reference in the shared
+ * region (sharedPct 100), driven through runParallelCore — the repo's
+ * one serialized driver. --span, --write-pct, --lock-pct and --opt-pct
+ * set the shape's sharedWords, writePct, lockPct and optPct; on shared
+ * references optPct selects RI. No auditor, watchdog, event sinks or
+ * ref tracing ride along, so the measurement isolates System::access +
+ * Bus rather than the observability stack. A PE takes a lock only while
+ * holding none, which cannot deadlock (no hold-and-wait).
  *
  *   pim_perf [--pes=N] [--scale=N] [--reps=N] [--smoke]
+ *            [--span=N] [--write-pct=N] [--lock-pct=N] [--opt-pct=N]
  *            [--cluster-size=N] [--hop-cycles=N]
  *            [--min-speedup=X] [--json=PATH] [--attribution-out=PATH]
- *            [--par-jobs=N] [--min-par-speedup=X] [--min-par-local-frac=X]
+ *
+ * Unknown options (including the retired --par-jobs) exit 1.
  *
  * --cluster-size=N partitions the PEs into per-cluster snooping buses
  * with an inter-cluster directory (docs/ARCHITECTURE.md); 0 keeps the
@@ -39,20 +45,6 @@
  * below X. --smoke shrinks the grid for CI, where wall-clock ratios on
  * loaded machines are noise — it checks the exactness invariants and the
  * JSON schema, not the speedup.
- *
- * --par-jobs=N adds the parallel discrete-event core section
- * (docs/ARCHITECTURE.md "Threading model"): per PE point it drives the
- * same independent-stream workload twice — on the serialized core
- * (jobs=1) and on the concurrent core with N worker threads — and
- * reports refs/sec for both, the parallel speedup, and the local
- * fraction (the share of references the concurrent path executed
- * between bus epochs — the machine-independent parallelism metric).
- * Determinism gate: fingerprint, makespan, bus transactions and
- * protocol hash must be byte-identical between the two runs; any
- * mismatch exits 1. --min-par-speedup=X gates the largest point's
- * wall-clock speedup (meaningless on single-core CI hosts);
- * --min-par-local-frac=X gates the deterministic local fraction
- * instead, which holds on any host.
  */
 
 #include <algorithm>
@@ -65,7 +57,6 @@
 
 #include "bench_util.h"
 #include "bus/bus.h"
-#include "common/rng.h"
 #include "common/table.h"
 #include "obs/attribution.h"
 #include "sim/par_workload.h"
@@ -77,60 +68,23 @@ using namespace pim::kl1::bench;
 
 namespace {
 
-/** Fingerprint mixer (splitmix64 finalizer over a running hash). */
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
-
-/**
- * Multiply-shift uniform draw in [0, n) — the driver sits on the same
- * hot path it measures, so it avoids Rng::below's rejection loop and
- * modulo (the tiny bias is irrelevant for workload generation).
- */
-std::uint64_t
-draw(Rng& rng, std::uint64_t n)
-{
-    return static_cast<std::uint64_t>(
-        (static_cast<unsigned __int128>(rng.next()) * n) >> 64);
-}
-
 /** One timed run's observables. */
 struct Measurement {
     double seconds = 0;            ///< Best wall time over the reps.
-    std::uint64_t fingerprint = 0; ///< Op/addr/data stream hash.
+    std::uint64_t refs = 0;        ///< References completed.
+    std::uint64_t fingerprint = 0; ///< runParallelCore's run fingerprint.
     std::uint64_t makespan = 0;    ///< Simulated cycles (max PE clock).
     std::uint64_t busTrans = 0;    ///< Bus transactions issued.
-    std::uint64_t protoHash = 0;   ///< Protocol hash of the shared span.
+    std::uint64_t protoHash = 0;   ///< Protocol hash of all memory.
     std::uint64_t interCluster = 0; ///< Inter-cluster hop cycles paid.
 };
 
 /**
- * Workload shape: bus-heavy so the per-port snoop walk dominates. The
- * defaults are the filter's showcase, not its worst case: a span far
- * larger than the 4K-word caches (high miss rate, so most references
- * reach the bus), write-heavy traffic (every write hit in shared state
- * broadcasts an invalidate), and no locks — lock words are cached by
- * every contender, so their residency masks are dense and a filtered
- * walk visits nearly as many ports as a broadcast. The lock path stays
- * exercised via --lock-pct (and by the stress/conformance suites).
- */
-struct Shape {
-    Addr spanWords = 32768; ///< >> cache capacity: high miss rate.
-    std::uint32_t writePct = 70;
-    std::uint32_t lockPct = 0;
-    std::uint32_t optPct = 30; ///< DW -> ER/RP share.
-};
-
-/**
- * Drive @p steps random references over @p pes PEs with the snoop
- * filter on or off, repeated @p reps times; keeps the fastest wall
- * time. Every rep is the same pure function of the seed, so the
- * non-timing observables are identical across reps.
+ * Drive @p steps references (split evenly over @p pes PEs) of the
+ * bus-heavy @p shape through runParallelCore with the snoop filter on
+ * or off, repeated @p reps times; keeps the fastest wall time. Every
+ * rep is the same pure function of the seed, so the non-timing
+ * observables are identical across reps.
  *
  * When @p attr_out is non-null an AttributionEngine rides along (and is
  * returned through it, with the final BusStats in @p stats_out). Only
@@ -140,24 +94,22 @@ struct Shape {
  */
 Measurement
 runWorkload(std::uint32_t pes, std::uint64_t steps, bool filter,
-            std::uint32_t reps, std::uint64_t seed, const Shape& shape,
-            const ClusterConfig& cluster = ClusterConfig{},
+            std::uint32_t reps, const ParShape& shape,
+            const ClusterConfig& cluster,
             std::unique_ptr<AttributionEngine>* attr_out = nullptr,
             BusStats* stats_out = nullptr)
 {
     Measurement m;
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
+        ParShape run_shape = shape;
+        run_shape.stepsPerPe = std::max<std::uint64_t>(1, steps / pes);
         SystemConfig sys_config;
         sys_config.numPes = pes;
         sys_config.snoopFilter = filter;
         sys_config.cluster = cluster;
-        const std::uint64_t block = sys_config.cache.geometry.blockWords;
-        const Addr lock_base = shape.spanWords;
-        const std::uint32_t lock_words = std::max<std::uint32_t>(1, pes / 2);
-        const Addr rec_base =
-            (lock_base + lock_words + block - 1) / block * block;
-        sys_config.memoryWords =
-            (rec_base + (steps + 2) * block + block - 1) / block * block;
+        ParWorkloadSource source(run_shape, pes,
+                                 sys_config.cache.geometry.blockWords);
+        sys_config.memoryWords = source.memoryWords();
         sys_config.validate();
         System system(sys_config);
         if (attr_out != nullptr) {
@@ -168,226 +120,25 @@ runWorkload(std::uint32_t pes, std::uint64_t steps, bool filter,
             system.addEventSink(attr_out->get());
         }
 
-        struct PeState {
-            bool hasRetry = false;
-            MemOp retryOp = MemOp::R;
-            Addr retryAddr = 0;
-            Word retryData = 0;
-            Addr heldLock = 0;
-            bool holdsLock = false;
-        };
-        std::vector<PeState> state(pes);
-        std::vector<Addr> records;
-        Addr next_record = rec_base;
-        std::uint64_t fingerprint = 0;
-        Rng rng(seed);
-
-        const auto start = std::chrono::steady_clock::now();
-        std::uint64_t completed = 0;
-        while (completed < steps) {
-            const PeId pe = system.earliestRunnable();
-            PeState& st = state[pe];
-            MemOp op;
-            Addr addr;
-            Word wdata = 0;
-            if (st.hasRetry) {
-                op = st.retryOp;
-                addr = st.retryAddr;
-                wdata = st.retryData;
-            } else {
-                const std::uint64_t roll = draw(rng, 100);
-                if (roll < shape.lockPct) {
-                    // Hold-at-most-one discipline: a holder always
-                    // releases before acquiring again, so lock traffic
-                    // can never close a busy-wait cycle.
-                    if (st.holdsLock) {
-                        addr = st.heldLock;
-                        if ((rng.next() & 1) != 0) {
-                            op = MemOp::UW;
-                            wdata = rng.next();
-                        } else {
-                            op = MemOp::U;
-                        }
-                    } else {
-                        op = MemOp::LR;
-                        addr = lock_base + draw(rng, lock_words);
-                    }
-                } else if (roll < shape.lockPct + shape.optPct) {
-                    if (!records.empty() && (rng.next() & 1) != 0) {
-                        addr = records.back();
-                        records.pop_back();
-                        op = (rng.next() & 1) != 0 ? MemOp::ER : MemOp::RP;
-                    } else {
-                        op = MemOp::DW;
-                        addr = next_record;
-                        next_record += block;
-                        wdata = rng.next();
-                    }
-                } else {
-                    addr = draw(rng, shape.spanWords);
-                    if (draw(rng, 100) < shape.writePct) {
-                        op = MemOp::W;
-                        wdata = rng.next();
-                    } else {
-                        op = MemOp::R;
-                    }
-                }
-            }
-
-            const System::Access access =
-                system.access(pe, op, addr, Area::Heap, wdata);
-            if (access.lockWait) {
-                st.hasRetry = true;
-                st.retryOp = op;
-                st.retryAddr = addr;
-                st.retryData = wdata;
-                continue;
-            }
-            st.hasRetry = false;
-            if (op == MemOp::LR) {
-                st.holdsLock = true;
-                st.heldLock = addr;
-            } else if (op == MemOp::UW || op == MemOp::U) {
-                st.holdsLock = false;
-            }
-            if (op == MemOp::DW)
-                records.push_back(addr);
-            completed += 1;
-            fingerprint = mix(fingerprint,
-                              (static_cast<std::uint64_t>(pe) << 8) |
-                                  static_cast<std::uint64_t>(op));
-            fingerprint = mix(fingerprint, addr);
-            fingerprint = mix(fingerprint, access.data);
-        }
-        // Drain: release held locks so no PE is left parked at teardown.
-        // Pick the earliest-clock unparked PE that still has work; one
-        // always exists because every parked PE waits on a lock whose
-        // holder is unparked (hold-at-most-one).
-        for (;;) {
-            PeId pe = kNoPe;
-            bool anything_left = false;
-            for (PeId p = 0; p < system.numPes(); ++p) {
-                if (system.parked(p)) {
-                    anything_left = true;
-                    continue;
-                }
-                if (!state[p].hasRetry && !state[p].holdsLock)
-                    continue;
-                anything_left = true;
-                if (pe == kNoPe || system.clock(p) < system.clock(pe))
-                    pe = p;
-            }
-            if (!anything_left)
-                break;
-            PeState& st = state[pe];
-            MemOp op = MemOp::U;
-            Addr addr;
-            Word wdata = 0;
-            if (st.hasRetry) {
-                op = st.retryOp;
-                addr = st.retryAddr;
-                wdata = st.retryData;
-            } else {
-                addr = st.heldLock;
-            }
-            const System::Access access =
-                system.access(pe, op, addr, Area::Heap, wdata);
-            if (access.lockWait) {
-                st.hasRetry = true;
-                st.retryOp = op;
-                st.retryAddr = addr;
-                st.retryData = wdata;
-                continue;
-            }
-            st.hasRetry = false;
-            if (op == MemOp::LR) {
-                st.holdsLock = true;
-                st.heldLock = addr;
-            } else if (op == MemOp::UW || op == MemOp::U) {
-                st.holdsLock = false;
-            }
-            fingerprint = mix(fingerprint, addr);
-        }
-        const auto stop = std::chrono::steady_clock::now();
-
-        const double seconds =
-            std::chrono::duration<double>(stop - start).count();
-        if (rep == 0 || seconds < m.seconds)
-            m.seconds = seconds;
-        m.fingerprint = fingerprint;
-        m.makespan = system.makespan();
-        m.busTrans = 0;
-        for (int p = 0; p < kNumBusPatterns; ++p)
-            m.busTrans += system.bus().stats().transByPattern[p];
-        m.protoHash = system.protocolHash(0, shape.spanWords);
-        m.interCluster = system.bus().stats().interClusterCycles;
-        if (stats_out != nullptr)
-            *stats_out = system.bus().stats();
-    }
-    return m;
-}
-
-/** One parallel-core run's observables. */
-struct ParMeasurement {
-    double seconds = 0;             ///< Best wall time over the reps.
-    std::uint64_t completed = 0;    ///< References completed.
-    std::uint64_t localRefs = 0;    ///< Concurrent private-hit refs.
-    std::uint64_t epochs = 0;       ///< Epoch-gate rendezvous.
-    std::uint64_t fingerprint = 0;  ///< Jobs-invariant run fingerprint.
-    std::uint64_t makespan = 0;
-    std::uint64_t busTrans = 0;
-    std::uint64_t protoHash = 0;
-    std::uint64_t interCluster = 0;
-    bool serialized = false;
-};
-
-/**
- * Drive the per-PE independent-stream workload (ParWorkloadSource)
- * through runParallelCore with @p jobs workers, repeated @p reps times;
- * keeps the fastest wall time. Non-timing observables are a pure
- * function of the seed and must be identical for any jobs count — the
- * caller enforces that.
- */
-ParMeasurement
-runParCore(std::uint32_t pes, std::uint64_t steps_total, unsigned jobs,
-           std::uint32_t reps, const ParShape& base_shape,
-           const ClusterConfig& cluster)
-{
-    ParMeasurement m;
-    for (std::uint32_t rep = 0; rep < reps; ++rep) {
-        ParShape shape = base_shape;
-        shape.stepsPerPe = std::max<std::uint64_t>(1, steps_total / pes);
-        SystemConfig sys_config;
-        sys_config.numPes = pes;
-        sys_config.cluster = cluster;
-        ParWorkloadSource source(shape, pes,
-                                 sys_config.cache.geometry.blockWords);
-        sys_config.memoryWords = source.memoryWords();
-        sys_config.validate();
-        System system(sys_config);
-
-        ParallelCoreOptions options;
-        options.jobs = jobs;
         const auto start = std::chrono::steady_clock::now();
         const ParallelRunResult result =
-            runParallelCore(system, source, options);
+            runParallelCore(system, source, ParallelCoreOptions{});
         const auto stop = std::chrono::steady_clock::now();
 
         const double seconds =
             std::chrono::duration<double>(stop - start).count();
         if (rep == 0 || seconds < m.seconds)
             m.seconds = seconds;
-        m.completed = result.completedRefs;
-        m.localRefs = result.localRefs;
-        m.epochs = result.epochs;
+        m.refs = result.completedRefs;
         m.fingerprint = result.fingerprint;
-        m.serialized = result.serialized;
         m.makespan = system.makespan();
         m.busTrans = 0;
         for (int p = 0; p < kNumBusPatterns; ++p)
             m.busTrans += system.bus().stats().transByPattern[p];
         m.protoHash = system.protocolHash(0, sys_config.memoryWords);
         m.interCluster = system.bus().stats().interClusterCycles;
+        if (stats_out != nullptr)
+            *stats_out = system.bus().stats();
     }
     return m;
 }
@@ -413,6 +164,15 @@ int
 perfMain(int argc, char** argv)
 {
     BenchContext ctx = BenchContext::parse(argc, argv);
+    const std::string unknown = ctx.options.unknownOption(
+        {"pes", "scale", "reps", "smoke", "span", "write-pct", "lock-pct",
+         "opt-pct", "cluster-size", "hop-cycles", "min-speedup", "json",
+         "attribution-out"});
+    if (!unknown.empty()) {
+        std::fprintf(stderr, "pim_perf: unknown option --%s\n",
+                     unknown.c_str());
+        return 1;
+    }
     // The filter's payoff grows with the port count, so this harness
     // defaults to 16 PEs (the paper's largest configuration) rather than
     // the table binaries' 8.
@@ -434,16 +194,22 @@ perfMain(int argc, char** argv)
         std::strtod(ctx.options.getString("min-speedup", "0").c_str(),
                     nullptr);
 
-    Shape shape;
-    shape.spanWords = static_cast<Addr>(
-        ctx.options.getInt("span", static_cast<std::int64_t>(
-                                       shape.spanWords)));
+    // Bus-heavy shape: every reference contends in a shared region far
+    // larger than the 4K-word caches (high miss rate, so most references
+    // reach the bus), write-heavy, with RI taking exclusive ownership.
+    // No locks by default: lock words are cached by every contender, so
+    // their residency masks are dense and a filtered walk visits nearly
+    // as many ports as a broadcast.
+    ParShape shape;
+    shape.sharedPct = 100;
+    shape.sharedWords = static_cast<std::uint32_t>(
+        ctx.options.getInt("span", 32768));
     shape.writePct = static_cast<std::uint32_t>(
-        ctx.options.getInt("write-pct", shape.writePct));
+        ctx.options.getInt("write-pct", 70));
     shape.lockPct = static_cast<std::uint32_t>(
-        ctx.options.getInt("lock-pct", shape.lockPct));
+        ctx.options.getInt("lock-pct", 0));
     shape.optPct = static_cast<std::uint32_t>(
-        ctx.options.getInt("opt-pct", shape.optPct));
+        ctx.options.getInt("opt-pct", 30));
 
     ClusterConfig cluster;
     cluster.clusterSize = static_cast<std::uint32_t>(
@@ -455,7 +221,7 @@ perfMain(int argc, char** argv)
     std::printf("%llu refs/point, best of %u reps, span %llu words "
                 "(docs/PERFORMANCE.md)\n",
                 static_cast<unsigned long long>(steps), reps,
-                static_cast<unsigned long long>(shape.spanWords));
+                static_cast<unsigned long long>(shape.sharedWords));
     if (cluster.clustered()) {
         std::printf("clustered: %u PEs/bus, %u-cycle hops "
                     "(docs/ARCHITECTURE.md)\n",
@@ -478,16 +244,14 @@ perfMain(int argc, char** argv)
     double last_speedup = 0;
     for (std::uint32_t pes : pe_points) {
         const Measurement off = runWorkload(pes, steps, /*filter=*/false,
-                                            reps, /*seed=*/1, shape,
-                                            cluster);
+                                            reps, shape, cluster);
         const Measurement on = runWorkload(pes, steps, /*filter=*/true,
-                                           reps, /*seed=*/1, shape,
-                                           cluster);
+                                           reps, shape, cluster);
 
         // Exactness gate: the filter must not change a single observable
         // (cluster routing included — routes come from the directory,
         // which is maintained identically in both modes).
-        if (off.fingerprint != on.fingerprint ||
+        if (off.refs != on.refs || off.fingerprint != on.fingerprint ||
             off.makespan != on.makespan || off.busTrans != on.busTrans ||
             off.protoHash != on.protoHash ||
             off.interCluster != on.interCluster) {
@@ -506,7 +270,7 @@ perfMain(int argc, char** argv)
             continue;
         }
 
-        const double total_refs = static_cast<double>(steps);
+        const double total_refs = static_cast<double>(on.refs);
         const double rps_off = total_refs / off.seconds;
         const double rps_on = total_refs / on.seconds;
         const double speedup = rps_on / rps_off;
@@ -525,15 +289,13 @@ perfMain(int argc, char** argv)
             json.set("bench", "perf");
             json.set("pes_point", pes);
             json.set("mode", filtered ? "filtered" : "unfiltered");
-            json.set("refs", steps);
+            json.set("refs", m.refs);
             json.set("wall_seconds", m.seconds);
             json.set("refs_per_sec", total_refs / m.seconds);
             json.set("cycles_per_ref", cycles_per_ref);
             json.set("bus_transactions", m.busTrans);
             json.set("fingerprint", hex(m.fingerprint));
             json.set("speedup_vs_unfiltered", filtered ? speedup : 1.0);
-            json.set("par_jobs", 0);
-            json.set("speedup_vs_seq", 1.0);
             json.set("cluster_size", cluster.clusterSize);
             json.set("hop_cycles", cluster.hopCycles);
             json.set("inter_cluster_cycles", m.interCluster);
@@ -553,128 +315,6 @@ perfMain(int argc, char** argv)
         ++failures;
     }
 
-    // Parallel discrete-event core section (--par-jobs=N).
-    const unsigned par_jobs = static_cast<unsigned>(
-        ctx.options.getInt("par-jobs", 0));
-    if (par_jobs >= 1) {
-        const double min_par_speedup = std::strtod(
-            ctx.options.getString("min-par-speedup", "0").c_str(),
-            nullptr);
-        const double min_par_local_frac = std::strtod(
-            ctx.options.getString("min-par-local-frac", "0").c_str(),
-            nullptr);
-        ParShape par_shape;
-        par_shape.sharedPct = static_cast<std::uint32_t>(
-            ctx.options.getInt("par-shared-pct", par_shape.sharedPct));
-        par_shape.lockPct = static_cast<std::uint32_t>(
-            ctx.options.getInt("par-lock-pct", par_shape.lockPct));
-        par_shape.optPct = static_cast<std::uint32_t>(
-            ctx.options.getInt("par-opt-pct", par_shape.optPct));
-
-        std::printf("\nparallel core: serialized vs %u jobs "
-                    "(docs/ARCHITECTURE.md \"Threading model\")\n",
-                    par_jobs);
-        Table par_table("measured: refs/sec, serialized vs parallel "
-                        "(identical runs)");
-        par_table.setHeader({"PEs", "local%", "epochs", "refs/s seq",
-                             "refs/s par", "speedup"});
-
-        double last_par_speedup = 0;
-        double last_local_frac = 0;
-        for (std::uint32_t pes : pe_points) {
-            const ParMeasurement seq =
-                runParCore(pes, steps, 1, reps, par_shape, cluster);
-            const ParMeasurement par =
-                runParCore(pes, steps, par_jobs, reps, par_shape,
-                           cluster);
-
-            // Determinism gate: the jobs count must not change a single
-            // observable (the issue's identical-results contract).
-            if (seq.fingerprint != par.fingerprint ||
-                seq.makespan != par.makespan ||
-                seq.busTrans != par.busTrans ||
-                seq.protoHash != par.protoHash ||
-                seq.interCluster != par.interCluster ||
-                seq.completed != par.completed) {
-                std::printf(
-                    "FAIL: parallel core diverged at %u PEs, %u jobs "
-                    "(fingerprint %s vs %s, makespan %llu vs %llu, "
-                    "bus %llu vs %llu, proto %s vs %s)\n",
-                    pes, par_jobs, hex(seq.fingerprint).c_str(),
-                    hex(par.fingerprint).c_str(),
-                    static_cast<unsigned long long>(seq.makespan),
-                    static_cast<unsigned long long>(par.makespan),
-                    static_cast<unsigned long long>(seq.busTrans),
-                    static_cast<unsigned long long>(par.busTrans),
-                    hex(seq.protoHash).c_str(),
-                    hex(par.protoHash).c_str());
-                ++failures;
-                continue;
-            }
-
-            const double total_refs = static_cast<double>(seq.completed);
-            const double rps_seq = total_refs / seq.seconds;
-            const double rps_par = total_refs / par.seconds;
-            const double par_speedup = rps_par / rps_seq;
-            const double local_frac =
-                par.completed == 0
-                    ? 0.0
-                    : static_cast<double>(par.localRefs) /
-                          static_cast<double>(par.completed);
-            last_par_speedup = par_speedup;
-            last_local_frac = local_frac;
-
-            par_table.addRow(
-                {std::to_string(pes), fmt("%.1f%%", 100.0 * local_frac),
-                 std::to_string(par.epochs), fmt("%.0f", rps_seq),
-                 fmt("%.0f", rps_par), fmt("%.2fx", par_speedup)});
-
-            for (int mode = 0; mode < 2; ++mode) {
-                const bool parallel = mode == 1;
-                const ParMeasurement& m = parallel ? par : seq;
-                json.row();
-                json.set("bench", "par-core");
-                json.set("pes_point", pes);
-                json.set("mode", parallel ? "par-core" : "seq-core");
-                json.set("refs", m.completed);
-                json.set("wall_seconds", m.seconds);
-                json.set("refs_per_sec", total_refs / m.seconds);
-                json.set("cycles_per_ref",
-                         static_cast<double>(m.makespan) / total_refs);
-                json.set("bus_transactions", m.busTrans);
-                json.set("fingerprint", hex(m.fingerprint));
-                json.set("speedup_vs_unfiltered", 1.0);
-                json.set("par_jobs", parallel ? par_jobs : 1);
-                json.set("speedup_vs_seq", parallel ? par_speedup : 1.0);
-                json.set("local_frac", parallel ? local_frac : 0.0);
-                json.set("epochs", m.epochs);
-                json.set("cluster_size", cluster.clusterSize);
-                json.set("hop_cycles", cluster.hopCycles);
-                json.set("inter_cluster_cycles", m.interCluster);
-            }
-        }
-
-        std::printf("%s\n", par_table.toString().c_str());
-        std::printf("observables identical between the serialized and "
-                    "%u-job runs at every point\n", par_jobs);
-
-        if (min_par_speedup > 0 && last_par_speedup < min_par_speedup) {
-            std::printf("FAIL: parallel speedup %.2fx at %u PEs is below "
-                        "the --min-par-speedup=%.2f gate\n",
-                        last_par_speedup, pe_points.back(),
-                        min_par_speedup);
-            ++failures;
-        }
-        if (min_par_local_frac > 0 &&
-            last_local_frac < min_par_local_frac) {
-            std::printf("FAIL: local fraction %.3f at %u PEs is below "
-                        "the --min-par-local-frac=%.3f gate\n",
-                        last_local_frac, pe_points.back(),
-                        min_par_local_frac);
-            ++failures;
-        }
-    }
-
     const std::string attribution_out =
         ctx.options.getString("attribution-out", "");
     if (!attribution_out.empty()) {
@@ -682,8 +322,8 @@ perfMain(int argc, char** argv)
         // points above never carry a sink.
         std::unique_ptr<AttributionEngine> attr;
         BusStats attr_stats;
-        runWorkload(max_pes, steps, /*filter=*/true, /*reps=*/1,
-                    /*seed=*/1, shape, cluster, &attr, &attr_stats);
+        runWorkload(max_pes, steps, /*filter=*/true, /*reps=*/1, shape,
+                    cluster, &attr, &attr_stats);
         const std::string attr_error = attr->crossCheck(attr_stats);
         if (!attr_error.empty()) {
             std::printf("FAIL: attribution cross-check: %s\n",

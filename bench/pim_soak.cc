@@ -21,7 +21,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <iterator>
 #include <sstream>
 #include <string>
@@ -139,38 +138,9 @@ usage()
         "  --pes=N             PEs per cell (default: 4)\n"
         "  --seed=N            campaign base seed (default: 1)\n"
         "  --jobs=N            worker threads (default: hardware)\n"
-        "  --par-jobs=N        parallel-core jobs inside each cell; a\n"
-        "                      stress cell always runs serialized-epoch,\n"
-        "                      so outcomes are identical for any value\n"
-        "                      (docs/ROBUSTNESS.md)\n"
         "  --timeout=SECS      per-cell wall-clock budget (default: 60)\n"
         "  --out=DIR           write CAMPAIGN.json here (default: none)\n"
         "  --list              print the plan grid and exit\n");
-}
-
-const char* const kKnownFlags[] = {
-    "smoke", "seeds", "steps", "pes", "seed", "jobs", "timeout", "out",
-    "list", "help", "par-jobs",
-};
-
-bool
-flagsAreKnown(int argc, const char* const* argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--", 2) != 0)
-            continue;
-        std::string name(argv[i] + 2);
-        name = name.substr(0, name.find('='));
-        bool known = false;
-        for (const char* flag : kKnownFlags)
-            known = known || name == flag;
-        if (!known) {
-            std::fprintf(stderr, "pim_soak: unknown option --%s\n",
-                         name.c_str());
-            return false;
-        }
-    }
-    return true;
 }
 
 std::string
@@ -236,7 +206,12 @@ main(int argc, char** argv)
         usage();
         return 0;
     }
-    if (!flagsAreKnown(argc, argv)) {
+    const std::string unknown =
+        opts.unknownOption({"smoke", "seeds", "steps", "pes", "seed",
+                            "jobs", "timeout", "out", "list", "help"});
+    if (!unknown.empty()) {
+        std::fprintf(stderr, "pim_soak: unknown option --%s\n",
+                     unknown.c_str());
         usage();
         return 1;
     }
@@ -252,8 +227,6 @@ main(int argc, char** argv)
             opts.getInt("steps", smoke ? 6000 : 20000));
         const auto pes =
             static_cast<std::uint32_t>(opts.getInt("pes", 4));
-        const auto par_jobs =
-            static_cast<std::uint32_t>(opts.getInt("par-jobs", 0));
 
         if (opts.getBool("list")) {
             for (std::size_t p = 0; p < num_plans; ++p) {
@@ -286,12 +259,6 @@ main(int argc, char** argv)
             experiment.base.set("pes", ParamValue::ofNumber(pes));
             experiment.base.set("lockPct",
                                 ParamValue::ofNumber(plans[p].lockPct));
-            // Only when asked, so default campaign rows stay
-            // byte-identical (the param lands in each row's JSON).
-            if (par_jobs != 0) {
-                experiment.base.set("parJobs",
-                                    ParamValue::ofNumber(par_jobs));
-            }
             if (plans[p].spec[0] != '\0')
                 experiment.base.set("plan",
                                     ParamValue::ofText(plans[p].spec));

@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/options.h"
@@ -65,49 +64,8 @@ usage()
         "  --seeds=N           batch: run seeds SEED..SEED+N-1 (default 1)\n"
         "  --jobs=N            batch worker threads (default: hardware);\n"
         "                      results are identical for any value\n"
-        "  --par-jobs=N        parallel-core jobs for the drive loop; a\n"
-        "                      stress run always degrades to the\n"
-        "                      serialized-epoch mode, so results are\n"
-        "                      bit-identical for any value and fault\n"
-        "                      sites fire at epoch boundaries\n"
-        "                      (docs/ROBUSTNESS.md)\n"
         "  --replay            marker flag printed in replay lines; a\n"
         "                      stress run is a pure function of its flags\n");
-}
-
-const char* const kKnownFlags[] = {
-    "seed",       "pes",        "geometry",  "steps",
-    "span",       "write-pct",  "lock-pct",  "opt-pct",
-    "plan",       "trace-out",  "timeline-out", "attribution-out",
-    "no-audit",   "expect-fault",
-    "replay",     "help",       "starvation-bound", "livelock-retries",
-    "seeds",      "jobs",       "no-snoop-filter", "timeout",
-    "cluster-size", "hop-cycles", "par-jobs",
-};
-
-/**
- * A mistyped flag in a replay line would silently run with a default
- * and reproduce a *different* run, so unlike the shared bench parser
- * this tool rejects unknown options.
- */
-bool
-flagsAreKnown(int argc, const char* const* argv)
-{
-    for (int i = 1; i < argc; ++i) {
-        if (std::strncmp(argv[i], "--", 2) != 0)
-            continue;
-        std::string name(argv[i] + 2);
-        name = name.substr(0, name.find('='));
-        bool known = false;
-        for (const char* flag : kKnownFlags)
-            known = known || name == flag;
-        if (!known) {
-            std::fprintf(stderr, "pim_stress: unknown option --%s\n",
-                         name.c_str());
-            return false;
-        }
-    }
-    return true;
 }
 
 } // namespace
@@ -120,7 +78,21 @@ main(int argc, char** argv)
         usage();
         return 0;
     }
-    if (!flagsAreKnown(argc, argv)) {
+    // A mistyped flag in a replay line would silently run with a
+    // default and reproduce a *different* run, so unlike the shared
+    // bench parser this tool rejects unknown options.
+    const std::string unknown = opts.unknownOption({
+        "seed",       "pes",        "geometry",  "steps",
+        "span",       "write-pct",  "lock-pct",  "opt-pct",
+        "plan",       "trace-out",  "timeline-out", "attribution-out",
+        "no-audit",   "expect-fault",
+        "replay",     "help",       "starvation-bound", "livelock-retries",
+        "seeds",      "jobs",       "no-snoop-filter", "timeout",
+        "cluster-size", "hop-cycles",
+    });
+    if (!unknown.empty()) {
+        std::fprintf(stderr, "pim_stress: unknown option --%s\n",
+                     unknown.c_str());
         usage();
         return 1;
     }
@@ -155,8 +127,6 @@ main(int argc, char** argv)
         config.hopCycles =
             static_cast<std::uint32_t>(opts.getInt("hop-cycles", 4));
         config.timeoutSeconds = opts.getDouble("timeout", 0);
-        config.parJobs =
-            static_cast<std::uint32_t>(opts.getInt("par-jobs", 0));
         config.watchdog.starvationBound = static_cast<std::uint64_t>(
             opts.getInt("starvation-bound", 100000));
         config.watchdog.livelockRetries = static_cast<std::uint32_t>(

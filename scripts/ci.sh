@@ -26,37 +26,12 @@ run_leg() {
 
 # Snoop-filter throughput smoke (docs/PERFORMANCE.md): checks the
 # filter-on/off exactness invariants and the BENCH_perf.json schema.
-# Ratios are not asserted — CI wall-clock is noise. --par-jobs=2 adds
-# the sequential-vs-parallel core measurement (its determinism
-# cross-check fails the smoke on any observable mismatch) and lands
-# the par.p<N>.* metrics in the report gate's ledger record, where
-# local_frac and epochs gate exactly.
+# Ratios are not asserted — CI wall-clock is noise.
 perf_smoke() {
     local dir="build-release"
     echo "=== perf smoke (${dir}) ==="
-    "${dir}/bench/pim_perf" --smoke --par-jobs=2 \
-        --json="${dir}/BENCH_perf.json"
-    "${dir}/bench/json_check" --schema=perf \
-        --require=rows.7.local_frac --require=rows.7.epochs \
-        "${dir}/BENCH_perf.json"
-}
-
-# Parallel discrete-event core gate (docs/ARCHITECTURE.md "Threading
-# model"): a deeper System-level jobs-invariance fuzz than the ctest
-# `par` label runs, plus stress-harness bit-identity across
-# --par-jobs on a lock/optimized-command mix. Wall-clock speedup is
-# never asserted here — CI machines vary; the perf smoke's exact
-# observables and the ledger's local_frac/epochs metrics carry the
-# regression signal instead.
-par_smoke() {
-    local dir="build-release"
-    echo "=== par smoke (${dir}) ==="
-    "${dir}/bench/pim_conform" --par-fuzz --seed=11 --traces=40
-    "${dir}/bench/pim_stress" --seed=5 --steps=20000 --lock-pct=25 \
-        --opt-pct=20 > "${dir}/stress_par_seq.txt"
-    "${dir}/bench/pim_stress" --seed=5 --steps=20000 --lock-pct=25 \
-        --opt-pct=20 --par-jobs=4 > "${dir}/stress_par_par.txt"
-    diff -u "${dir}/stress_par_seq.txt" "${dir}/stress_par_par.txt"
+    "${dir}/bench/pim_perf" --smoke --json="${dir}/BENCH_perf.json"
+    "${dir}/bench/json_check" --schema=perf "${dir}/BENCH_perf.json"
 }
 
 # Clustered-topology gate (docs/ARCHITECTURE.md): a deeper clustered
@@ -152,7 +127,6 @@ for leg in "${legs[@]}"; do
       release)
         run_leg release -DCMAKE_BUILD_TYPE=Release
         perf_smoke
-        par_smoke
         cluster_smoke
         zoo_smoke
         soak_smoke
@@ -163,10 +137,10 @@ for leg in "${legs[@]}"; do
         ;;
       tsan)
         run_leg tsan -DCMAKE_BUILD_TYPE=RelWithDebInfo -DPIM_SANITIZE=thread
-        # The parallel core is the TSan-critical surface: re-run the
-        # `par` label explicitly so a CTEST_ARGS restriction can never
-        # skip it on this leg.
-        (cd build-tsan && ctest --output-on-failure -L par)
+        # The ThreadPool and the sweep runner are the only threaded
+        # code: re-run the `sweep` label explicitly so a CTEST_ARGS
+        # restriction can never skip it on this leg.
+        (cd build-tsan && ctest --output-on-failure -L sweep)
         ;;
       coverage)
         run_leg coverage -DCMAKE_BUILD_TYPE=Debug -DPIM_COVERAGE=ON

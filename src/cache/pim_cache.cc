@@ -686,7 +686,6 @@ PimCache::flushAll()
     // instead of per-block transitions.
     if (sink_ != nullptr)
         sink_->onCacheFlush(pe_);
-    snoopVersion_ += 1;
     for (Block& block : blocks_) {
         if (block.state == CacheState::INV)
             continue;
@@ -696,61 +695,6 @@ PimCache::flushAll()
         block.state = CacheState::INV;
         block.base = kNoAddr;
     }
-}
-
-bool
-PimCache::opIsPrivateHit(MemOp op, Addr addr) const
-{
-    // The write-through baseline executes the plain equivalents of the
-    // optimized commands (see access()), and puts every write on the
-    // bus, so only reads can be private there.
-    if (config_.writeThrough && demoteMemOp(op) != op)
-        op = demoteMemOp(op);
-    const Addr base = blockBaseOf(addr);
-    const Block* block = findBlock(base);
-    const bool writable_hit =
-        !config_.writeThrough && block != nullptr &&
-        block->state != CacheState::S && block->state != CacheState::SM;
-    switch (op) {
-      case MemOp::R:
-        // doRead hit: data + hitCycles, no bus.
-        return block != nullptr;
-      case MemOp::W:
-        // doWrite on an exclusive copy: in-place write, EC -> EM needs
-        // no residency change. A shared copy invalidates (or Dragon-
-        // updates) over the bus; a miss fetches.
-        return writable_hit;
-      case MemOp::LR:
-      case MemOp::UW:
-      case MemOp::U:
-        // Every lock operation touches the lock directory, whose
-        // residency the bus filter mirrors, and U/UW may broadcast UL.
-        return false;
-      case MemOp::DW:
-      case MemOp::DWD: {
-        const bool boundary =
-            op == MemOp::DWD
-                ? addr == base + config_.geometry.blockWords - 1
-                : addr == base;
-        // Rule (ii) demotes to W; rule (i) allocates, which changes
-        // residency (and may swap out a victim over the bus).
-        if (!boundary || block != nullptr)
-            return writable_hit;
-        return false;
-      }
-      case MemOp::ER:
-        // Case (iii) — present and not the last word — is a plain read
-        // hit. Case (ii) purges (residency change); case (i) fetches.
-        return block != nullptr &&
-               addr - base != config_.geometry.blockWords - 1;
-      case MemOp::RP:
-        // Both RP cases purge or fetch.
-        return false;
-      case MemOp::RI:
-        // Present: doRead hit. Absent: FI fetch.
-        return block != nullptr;
-    }
-    return false;
 }
 
 CacheState
@@ -827,7 +771,6 @@ PimCache::snoopFetch(Addr block_addr, bool invalidate, Word* data_out,
     Block* block = findBlock(block_addr);
     if (block == nullptr)
         return {false, false};
-    snoopVersion_ += 1;
 
     std::copy(blockData(*block),
               blockData(*block) + config_.geometry.blockWords, data_out);
@@ -883,7 +826,6 @@ PimCache::snoopUpdate(Addr word_addr, Word value, Cycles when)
     Block* block = findBlock(base);
     if (block == nullptr)
         return false;
-    snoopVersion_ += 1;
     blockData(*block)[word_addr - base] = value;
     // Dirty ownership migrates to the writer; every snarfing copy is
     // clean shared (Dragon Sc) afterwards.
@@ -898,7 +840,6 @@ PimCache::snoopInvalidate(Addr block_addr, Cycles when)
     Block* block = findBlock(block_addr);
     if (block == nullptr)
         return false;
-    snoopVersion_ += 1;
     const bool was_dirty = cacheStateDirty(block->state);
     setState(*block, CacheState::INV, when);
     block->base = kNoAddr;

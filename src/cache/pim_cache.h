@@ -64,32 +64,6 @@ class PimCache : public BusSnooper
 
     // -- Introspection (tests, checkers) ----------------------------------
 
-    /**
-     * True iff executing @p op at @p addr *now* would complete entirely
-     * inside this cache — no bus transaction, no lock-directory change,
-     * no residency-filter change — and finish at exactly now +
-     * hitCycles. This is the parallel core's epoch classifier
-     * (src/sim/parallel_core.*): operations that satisfy it may run
-     * concurrently with other PEs' private hits.
-     *
-     * The predicate is conservative and *monotone under remote snoops*:
-     * snoops never fill a cache, so a concurrent snoopInvalidate /
-     * snoopFetch / snoopUpdate can demote a private hit to a bus
-     * operation but never the reverse. Executing a private hit never
-     * changes which blocks are resident, so a run of private hits
-     * classified together stays privately executable. @p op must be the
-     * post-OptPolicy operation (System::accessIsLocal applies it).
-     */
-    bool opIsPrivateHit(MemOp op, Addr addr) const;
-
-    /**
-     * Bumped whenever a remote snoop (or flushAll) changes this cache's
-     * contents, invalidating earlier opIsPrivateHit answers. The
-     * parallel core re-classifies a PE's probed run when the version it
-     * recorded at probe time no longer matches.
-     */
-    std::uint64_t snoopVersion() const { return snoopVersion_; }
-
     /** State of the block containing @p addr (INV when absent). */
     CacheState stateOf(Addr addr) const;
 
@@ -238,7 +212,6 @@ class PimCache : public BusSnooper
     EventSink* sink_ = nullptr;
     LockDirectory locks_;
     CacheStats stats_;
-    std::uint64_t snoopVersion_ = 0; ///< See snoopVersion().
     std::uint64_t lruTick_ = 0;
     std::vector<Block> blocks_;  ///< sets x ways.
     std::vector<Word> data_;     ///< sets x ways x blockWords.

@@ -37,6 +37,19 @@ Options::has(const std::string& name) const
 }
 
 std::string
+Options::unknownOption(std::initializer_list<std::string_view> known) const
+{
+    for (const auto& [name, value] : values_) {
+        bool listed = false;
+        for (std::string_view flag : known)
+            listed = listed || name == flag;
+        if (!listed)
+            return name;
+    }
+    return "";
+}
+
+std::string
 Options::getString(const std::string& name, const std::string& fallback) const
 {
     auto it = values_.find(name);

@@ -12,8 +12,10 @@
 #define PIMCACHE_COMMON_OPTIONS_H_
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pim {
@@ -45,6 +47,14 @@ class Options
 
     /** Boolean flag: present without value, or value in {1,true,yes,on}. */
     bool getBool(const std::string& name, bool fallback = false) const;
+
+    /**
+     * The first option name (in name order) not listed in @p known, or
+     * "" when every option is known: for tools that must reject a
+     * mistyped or retired flag rather than silently ignore it.
+     */
+    std::string
+    unknownOption(std::initializer_list<std::string_view> known) const;
 
     /** Positional (non-option) arguments, in order. */
     const std::vector<std::string>& positional() const { return positional_; }

@@ -18,7 +18,6 @@
 #ifndef PIMCACHE_COMMON_THREAD_POOL_H_
 #define PIMCACHE_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -30,82 +29,6 @@
 #include <vector>
 
 namespace pim {
-
-/**
- * Rendezvous primitive for the parallel discrete-event core
- * (src/sim/parallel_core.*): a reusable all-arrive barrier that elects
- * the *last* arriver as the epoch leader.
- *
- * Each epoch, every party calls arrive(). The last arrival returns true
- * immediately — that thread is the leader and runs the serial epoch
- * phase (event execution, planning) while the others spin inside
- * arrive() on the generation counter. The leader then calls release(),
- * which publishes everything it wrote (release store) and lets the
- * waiters return false (acquire load).
- *
- * Memory ordering: worker-phase writes happen-before the worker's
- * acq_rel fetch_add in arrive(); the leader's own fetch_add in the same
- * RMW chain acquires them all, so the serial phase sees every worker
- * write. Serial-phase writes happen-before release()'s release store,
- * which the waiters' acquire loads synchronize with. No locks, no
- * condvars: epochs are short (microseconds), so spin + yield beats a
- * futex round-trip.
- */
-class EpochGate
-{
-  public:
-    explicit EpochGate(unsigned parties) : parties_(parties) {}
-
-    EpochGate(const EpochGate&) = delete;
-    EpochGate& operator=(const EpochGate&) = delete;
-
-    /**
-     * Arrive at the epoch boundary. Returns true for the leader (last
-     * arriver), who must call release() after the serial phase; false
-     * for everyone else, once the leader has released.
-     */
-    bool
-    arrive()
-    {
-        const std::uint64_t prev =
-            state_.fetch_add(1, std::memory_order_acq_rel);
-        const std::uint32_t count =
-            static_cast<std::uint32_t>(prev & 0xffffffffu) + 1;
-        const std::uint32_t generation =
-            static_cast<std::uint32_t>(prev >> 32);
-        if (count == parties_)
-            return true;
-        while (static_cast<std::uint32_t>(
-                   state_.load(std::memory_order_acquire) >> 32) ==
-               generation) {
-            std::this_thread::yield();
-        }
-        return false;
-    }
-
-    /** Leader only: open the next epoch (resets the arrival count). */
-    void
-    release()
-    {
-        const std::uint64_t generation =
-            (state_.load(std::memory_order_relaxed) >> 32) + 1;
-        state_.store(generation << 32, std::memory_order_release);
-    }
-
-    unsigned parties() const { return parties_; }
-
-    /** Epochs completed so far (i.e. release() calls). */
-    std::uint64_t
-    generation() const
-    {
-        return state_.load(std::memory_order_acquire) >> 32;
-    }
-
-  private:
-    /** Low 32 bits: arrivals this epoch. High 32 bits: generation. */
-    std::atomic<std::uint64_t> state_{0};
-    const unsigned parties_;
-};
 
 /** Fixed-size work-stealing pool of std::thread workers. */
 class ThreadPool

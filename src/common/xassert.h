@@ -22,6 +22,8 @@ namespace pim {
 panicImpl(const char* file, int line, const std::string& msg)
 {
     std::fprintf(stderr, "panic: %s:%d: %s\n", file, line, msg.c_str());
+    // Keep what a bench already printed (partial tables) on the way down.
+    std::fflush(nullptr);
     std::abort();
 }
 

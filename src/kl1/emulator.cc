@@ -197,10 +197,8 @@ Emulator::run(const std::string& query)
             break;
 
         const PeId pe = sys_->earliestRunnable();
-        if (pe == kNoPe) {
-            PIM_PANIC("all PEs are busy-waiting on locks: "
-                      "simulation deadlock");
-        }
+        if (pe == kNoPe)
+            sys_->throwDeadlock("kl1 emulator");
         machines_[pe]->step();
         ++steps;
         if (config_.maxSteps != 0 && steps > config_.maxSteps) {

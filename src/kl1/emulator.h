@@ -84,6 +84,7 @@ class Emulator : public TermReader
     /**
      * Run a query goal, e.g. "main(12,R)". Blocks until the program
      * terminates (or deadlocks / exceeds maxSteps). Returns statistics.
+     * Throws SimFault(Deadlock) when every PE is parked on a lock.
      */
     RunStats run(const std::string& query);
 

@@ -45,54 +45,22 @@ extractPerf(const JsonValue& doc, std::map<std::string, LedgerMetric>* out)
         const JsonValue* mode = row.find("mode");
         const JsonValue* pes = row.find("pes_point");
         if (mode == nullptr || pes == nullptr || !mode->isString() ||
-            !pes->isNumber()) {
+            !pes->isNumber() || mode->asString() != "filtered") {
             continue;
         }
-        const std::string pe_tag =
-            "p" +
+        const std::string prefix =
+            "perf.p" +
             std::to_string(static_cast<std::uint64_t>(pes->asNumber()));
-        if (mode->asString() == "filtered") {
-            const std::string prefix = "perf." + pe_tag;
-            const JsonValue* v = row.find("refs_per_sec");
-            if (v != nullptr && v->isNumber()) {
-                putMetric(out, prefix + ".refs_per_sec", v->asNumber(),
-                          false);
-            }
-            v = row.find("cycles_per_ref");
-            if (v != nullptr && v->isNumber()) {
-                putMetric(out, prefix + ".cycles_per_ref", v->asNumber(),
-                          true);
-            }
-            v = row.find("bus_transactions");
-            if (v != nullptr && v->isNumber()) {
-                putMetric(out, prefix + ".bus_transactions",
-                          v->asNumber(), true);
-            }
-        } else if (mode->asString() == "par-core") {
-            // Parallel discrete-event core rows (pim_perf --par-jobs).
-            // Throughput and wall-clock speedup are inexact (host
-            // noise); the local fraction and epoch count are pure
-            // functions of the workload, so drifts there are real
-            // scheduling regressions.
-            const std::string prefix = "par." + pe_tag;
-            const JsonValue* v = row.find("refs_per_sec");
-            if (v != nullptr && v->isNumber()) {
-                putMetric(out, prefix + ".refs_per_sec", v->asNumber(),
-                          false);
-            }
-            v = row.find("speedup_vs_seq");
-            if (v != nullptr && v->isNumber()) {
-                putMetric(out, prefix + ".speedup_vs_seq", v->asNumber(),
-                          false);
-            }
-            v = row.find("local_frac");
-            if (v != nullptr && v->isNumber()) {
-                putMetric(out, prefix + ".local_frac", v->asNumber(),
-                          true);
-            }
-            v = row.find("epochs");
-            if (v != nullptr && v->isNumber())
-                putMetric(out, prefix + ".epochs", v->asNumber(), true);
+        const JsonValue* v = row.find("refs_per_sec");
+        if (v != nullptr && v->isNumber())
+            putMetric(out, prefix + ".refs_per_sec", v->asNumber(), false);
+        v = row.find("cycles_per_ref");
+        if (v != nullptr && v->isNumber())
+            putMetric(out, prefix + ".cycles_per_ref", v->asNumber(), true);
+        v = row.find("bus_transactions");
+        if (v != nullptr && v->isNumber()) {
+            putMetric(out, prefix + ".bus_transactions", v->asNumber(),
+                      true);
         }
     }
 }

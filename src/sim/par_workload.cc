@@ -108,7 +108,7 @@ ParWorkloadSource::next(PeId pe, ParOp* out)
         return true;
     }
 
-    // Private reference (hits once warm; the parallel core's payload).
+    // Private reference (hits once warm).
     const Addr base = privateBase(pe);
     const Addr addr = base + g.below(shape_.privateWords);
     if (shape_.optPct != 0 && g.chance(shape_.optPct, 100)) {

@@ -1,16 +1,12 @@
 /**
  * @file
- * Deterministic per-PE workload for the parallel discrete-event core.
+ * Deterministic per-PE workload for runParallelCore.
  *
  * Each PE owns an independent xoshiro256** stream (seeded per PE), a
- * private working set sized to fit its cache, and a small probability
- * of touching the shared region or the lock words — the independence
- * structure the paper's PEs exhibit between bus transactions, distilled
- * into a generator the parallel core can pull concurrently
- * (RefSource::independent() == true). Used by pim_perf --par-jobs for
- * the sequential-vs-parallel measurement and by pim_conform --par-fuzz
- * for jobs-invariance fuzzing (including lock and optimized-command
- * mixes on clustered topologies).
+ * private working set sized to fit its cache, and a probability of
+ * touching the shared region or the lock words. Used by pim_perf with
+ * sharedPct 100 (every reference contends on the bus: the snoop-filter
+ * measurement) and by the parallel-core tests.
  */
 
 #ifndef PIMCACHE_SIM_PAR_WORKLOAD_H_

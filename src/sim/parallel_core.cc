@@ -1,13 +1,6 @@
 #include "sim/parallel_core.h"
 
-#include <atomic>
-#include <deque>
-#include <exception>
-#include <mutex>
 #include <vector>
-
-#include "common/thread_pool.h"
-#include "common/xassert.h"
 
 namespace pim {
 
@@ -34,385 +27,22 @@ fpMix(std::uint64_t h, PeId pe, const ParOp& op, Word data)
     return h;
 }
 
-/**
- * Lexicographic (clock, pe) order packed into one comparable word: the
- * sequential drivers' global step order. 12 PE bits leave 52 clock
- * bits — systems with >= 4096 PEs fall back to the serialized mode.
- */
-constexpr std::uint64_t kInfKey = ~0ULL;
-constexpr unsigned kPeKeyBits = 12;
-
-std::uint64_t
-packKey(Cycles clock, PeId pe)
-{
-    PIM_ASSERT(clock < (1ULL << (64 - kPeKeyBits)),
-               "clock overflows the epoch key");
-    return (static_cast<std::uint64_t>(clock) << kPeKeyBits) | pe;
-}
-
-/**
- * Per-PE run state. Fields are touched either by the owning worker
- * during the parallel phase or by the epoch leader during the serial
- * phase, never concurrently; the EpochGate's acquire/release chain
- * orders the handoffs.
- */
+/** Per-PE driver state. */
 struct PeRun {
-    std::deque<ParOp> buf;          ///< Pulled, not yet executed ops.
-    std::uint32_t localsAhead = 0;  ///< Leading private-hit prefix of buf.
-    bool probed = false;            ///< Classification of buf is current.
-    bool nextBusValid = false;      ///< buf[localsAhead] is a bus op.
-    bool streamEnd = false;         ///< Source exhausted for this PE.
-    bool done = false;              ///< streamEnd and buf drained.
-    std::uint64_t probeVersion = 0; ///< Cache snoop version at classify.
-    std::uint64_t fp = 0;           ///< Fingerprint shard.
+    ParOp retry;           ///< Lock-rejected operation to reissue.
+    bool hasRetry = false;
+    bool done = false;     ///< Source exhausted for this PE.
+    std::uint64_t fp = 0;  ///< Fingerprint chain.
     std::uint64_t completed = 0;
-    std::uint64_t localRefs = 0;
-    RefStats refShard;              ///< Merged into System at the end.
 };
 
-/** The concurrent (SPMD) engine; see the header's file comment. */
-class SpmdEngine
-{
-  public:
-    SpmdEngine(System& system, RefSource& source,
-               const ParallelCoreOptions& options)
-        : sys_(system),
-          src_(source),
-          jobs_(options.jobs),
-          pullDepth_(options.pullDepth < 2 ? 2 : options.pullDepth),
-          hit_(system.config().cache.hitCycles),
-          pes_(system.numPes()),
-          pe_(system.numPes()),
-          gate_(options.jobs)
-    {
-        PIM_ASSERT(jobs_ >= 2);
-        PIM_ASSERT(hit_ > 0);
-        PIM_ASSERT(pes_ < (1u << kPeKeyBits));
-    }
+} // namespace
 
-    ParallelRunResult
-    run()
-    {
-        {
-            // The gate needs exactly `jobs_` parties, so the engine owns
-            // its pool: parking gate participants on a shared pool with
-            // fewer free workers would deadlock the rendezvous.
-            ThreadPool pool(jobs_ - 1);
-            for (unsigned w = 1; w < jobs_; ++w)
-                pool.submit([this, w] { workerMain(w); });
-            workerMain(0);
-            pool.wait();
-        }
-        if (firstError_)
-            std::rethrow_exception(firstError_);
-
-        ParallelRunResult out;
-        out.epochs = epochs_;
-        out.serialActions = serialActions_;
-        for (PeId p = 0; p < pes_; ++p) {
-            out.fingerprint = mix64(out.fingerprint ^ pe_[p].fp);
-            out.completedRefs += pe_[p].completed;
-            out.localRefs += pe_[p].localRefs;
-            sys_.refStats().merge(pe_[p].refShard);
-        }
-        return out;
-    }
-
-  private:
-    enum class Phase : std::uint8_t { Run, Done };
-
-    void
-    workerMain(unsigned w)
-    {
-        for (;;) {
-            if (gate_.arrive()) {
-                try {
-                    leaderPhase();
-                } catch (...) {
-                    noteError();
-                    phase_ = Phase::Done;
-                }
-                ++epochs_;
-                gate_.release();
-            }
-            if (phase_ == Phase::Done)
-                return;
-            try {
-                for (PeId p = w; p < pes_; p += jobs_)
-                    runPe(p);
-            } catch (...) {
-                noteError();
-                abort_.store(true, std::memory_order_relaxed);
-            }
-        }
-    }
-
-    void
-    noteError()
-    {
-        std::lock_guard<std::mutex> lock(errMutex_);
-        if (!firstError_)
-            firstError_ = std::current_exception();
-    }
-
-    /**
-     * Pull operations into @p p's buffer, up to the prefetch depth,
-     * the stream end, or a pending lock operation (generation state may
-     * depend on lock outcomes, so the core never pulls past one).
-     */
-    void
-    topUp(PeId p)
-    {
-        PeRun& r = pe_[p];
-        bool appended = false;
-        while (!r.streamEnd && r.buf.size() < pullDepth_ &&
-               (r.buf.empty() || !memOpLocks(r.buf.back().op))) {
-            ParOp op;
-            if (!src_.next(p, &op)) {
-                r.streamEnd = true;
-                break;
-            }
-            r.buf.push_back(op);
-            appended = true;
-        }
-        // An all-local classification (nextBusValid false) covered the
-        // whole buffer; appended operations fall outside it, so the
-        // claim no longer holds. A classification that stopped at a bus
-        // operation is unaffected by appends behind it.
-        if (appended && r.probed && !r.nextBusValid)
-            r.probed = false;
-    }
-
-    /**
-     * (Re)classify @p p's buffer against the cache's current state:
-     * count the leading private-hit prefix, stop at the first bus
-     * operation. Valid until the next snoop of @p p's cache (version
-     * check) or until @p p executes a bus operation of its own.
-     */
-    void
-    classify(PeId p)
-    {
-        PeRun& r = pe_[p];
-        r.probeVersion = sys_.cacheSnoopVersion(p);
-        r.localsAhead = 0;
-        r.nextBusValid = false;
-        for (const ParOp& op : r.buf) {
-            if (!sys_.accessIsLocal(p, op.op, op.addr, op.area)) {
-                r.nextBusValid = true;
-                break;
-            }
-            r.localsAhead += 1;
-        }
-        r.probed = true;
-    }
-
-    /**
-     * Parallel phase for one owned PE: execute the classified
-     * private-hit prefix while its keys stay below the published epoch
-     * limit, then prefetch the next operations for the coming epochs.
-     */
-    void
-    runPe(PeId p)
-    {
-        PeRun& r = pe_[p];
-        if (r.done || sys_.parked(p))
-            return;
-        for (;;) {
-            if (!r.probed) {
-                topUp(p);
-                classify(p);
-            }
-            while (r.localsAhead > 0 &&
-                   packKey(sys_.clock(p), p) < limit_) {
-                const ParOp& op = r.buf.front();
-                const System::Access acc = sys_.accessLocalHit(
-                    p, op.op, op.addr, op.area, op.wdata, r.refShard);
-                r.fp = fpMix(r.fp, p, op, acc.data);
-                r.completed += 1;
-                r.localRefs += 1;
-                src_.complete(p, op, acc.data);
-                r.buf.pop_front();
-                r.localsAhead -= 1;
-            }
-            if (r.localsAhead > 0 || r.nextBusValid)
-                break;
-            if (r.streamEnd) {
-                if (r.buf.empty())
-                    r.done = true;
-                break;
-            }
-            if (packKey(sys_.clock(p), p) >= limit_)
-                break;
-            r.probed = false; // classified prefix drained: pull more
-        }
-        topUp(p); // prefetch so the leader's classify pays no pulls
-    }
-
-    /**
-     * Key at which @p p next needs the serial phase: its next bus
-     * operation (or re-classification point) after its known private
-     * prefix. kInfKey when none is pending (done, parked, or only tail
-     * locals remain).
-     */
-    std::uint64_t
-    boundKey(PeId p) const
-    {
-        const PeRun& r = pe_[p];
-        if (r.done || sys_.parked(p))
-            return kInfKey;
-        if (r.nextBusValid || !r.streamEnd) {
-            return packKey(sys_.clock(p) + r.localsAhead * hit_, p);
-        }
-        return kInfKey; // stream ended: only private tail locals left
-    }
-
-    /**
-     * Serial phase, run by the epoch leader with every other worker
-     * held at the gate. Executes due bus transactions in exact
-     * (clock, pe) order, inlines private runs when only one PE has
-     * parallel work, and returns once at least two PEs can run
-     * concurrently (publishing the epoch limit) or the run is over.
-     */
-    void
-    leaderPhase()
-    {
-        if (abort_.load(std::memory_order_relaxed)) {
-            phase_ = Phase::Done;
-            return;
-        }
-        for (;;) {
-            for (PeId p = 0; p < pes_; ++p) {
-                PeRun& r = pe_[p];
-                if (!r.done && !sys_.parked(p) && !r.probed) {
-                    topUp(p);
-                    classify(p);
-                    if (r.streamEnd && r.buf.empty())
-                        r.done = true;
-                }
-            }
-
-            std::uint64_t minKey = kInfKey;
-            PeId minPe = kNoPe;
-            for (PeId p = 0; p < pes_; ++p) {
-                const std::uint64_t k = boundKey(p);
-                if (k < minKey) {
-                    minKey = k;
-                    minPe = p;
-                }
-            }
-
-            unsigned active = 0;
-            PeId soloPe = kNoPe;
-            for (PeId p = 0; p < pes_; ++p) {
-                const PeRun& r = pe_[p];
-                if (!r.done && !sys_.parked(p) && r.localsAhead > 0 &&
-                    packKey(sys_.clock(p), p) < minKey) {
-                    active += 1;
-                    soloPe = p;
-                }
-            }
-
-            if (active >= 2) {
-                limit_ = minKey;
-                phase_ = Phase::Run;
-                return;
-            }
-            if (active == 1) {
-                // One runnable PE: a rendezvous would buy nothing, so
-                // inline its private run. Bus-saturated stretches thus
-                // never release the gate at all.
-                limit_ = minKey;
-                runPe(soloPe);
-                continue;
-            }
-
-            if (minPe == kNoPe) {
-                bool anyLeft = false;
-                for (PeId p = 0; p < pes_; ++p)
-                    anyLeft = anyLeft || !pe_[p].done;
-                if (!anyLeft) {
-                    phase_ = Phase::Done;
-                    return;
-                }
-                src_.onStall(); // every unfinished PE is parked
-                continue;
-            }
-
-            PeRun& r = pe_[minPe];
-            if (!r.nextBusValid) {
-                // Drained classification with pulls still possible.
-                r.probed = false;
-                continue;
-            }
-            executeEvent(minPe);
-        }
-    }
-
-    /** Execute @p p's pending bus operation (leader serial phase). */
-    void
-    executeEvent(PeId p)
-    {
-        PeRun& r = pe_[p];
-        PIM_ASSERT(r.localsAhead == 0 && !r.buf.empty());
-        const ParOp op = r.buf.front();
-        const System::Access acc =
-            sys_.access(p, op.op, op.addr, op.area, op.wdata);
-        serialActions_ += 1;
-        if (acc.lockWait) {
-            // Parked; the op stays at the buffer front for the retry
-            // after the UL wakeup (no re-pull, like the legacy loop).
-        } else {
-            r.fp = fpMix(r.fp, p, op, acc.data);
-            r.completed += 1;
-            src_.complete(p, op, acc.data);
-            r.buf.pop_front();
-            // The transaction changed this PE's own cache (fill,
-            // eviction, purge): reclassify its remaining buffer.
-            r.probed = false;
-        }
-        // Snoops may have demoted other PEs' classified private hits
-        // (never the reverse: snoops cannot fill a cache), and a UL
-        // broadcast may have woken parked PEs at a new clock.
-        for (PeId q = 0; q < pes_; ++q) {
-            if (q != p && pe_[q].probed &&
-                sys_.cacheSnoopVersion(q) != pe_[q].probeVersion) {
-                pe_[q].probed = false;
-            }
-        }
-    }
-
-    System& sys_;
-    RefSource& src_;
-    const unsigned jobs_;
-    const std::uint32_t pullDepth_;
-    const Cycles hit_;
-    const PeId pes_;
-    std::vector<PeRun> pe_;
-    EpochGate gate_;
-    // Published by the leader before release(), read by workers after
-    // arrive(): the gate's acquire/release chain orders them.
-    Phase phase_ = Phase::Run;
-    std::uint64_t limit_ = 0;
-    std::uint64_t epochs_ = 0;
-    std::uint64_t serialActions_ = 0;
-    std::atomic<bool> abort_{false};
-    std::mutex errMutex_;
-    std::exception_ptr firstError_;
-};
-
-/**
- * Serialized-epoch mode: one inline loop in exact (clock, pe) order,
- * selecting the minimal PE *before* pulling its operation so shared-RNG
- * sources draw in precisely the legacy driver order. Bit-identical to
- * the sequential drivers for any jobs count.
- */
 ParallelRunResult
-runSerialized(System& sys, RefSource& src)
+runParallelCore(System& sys, RefSource& src, const ParallelCoreOptions&)
 {
     const PeId pes = sys.numPes();
     std::vector<PeRun> pe(pes);
-    std::vector<ParOp> retry(pes);
-    std::vector<char> hasRetry(pes, 0);
 
     for (;;) {
         PeId best = kNoPe;
@@ -430,64 +60,35 @@ runSerialized(System& sys, RefSource& src)
             break;
         if (best == kNoPe) {
             src.onStall();
-            continue;
+            sys.throwDeadlock("runParallelCore");
         }
+        PeRun& run = pe[best];
         ParOp op;
-        if (hasRetry[best]) {
-            op = retry[best];
+        if (run.hasRetry) {
+            op = run.retry;
         } else if (!src.next(best, &op)) {
-            pe[best].done = true;
+            run.done = true;
             continue;
         }
         const System::Access acc =
             sys.access(best, op.op, op.addr, op.area, op.wdata);
         if (acc.lockWait) {
-            retry[best] = op;
-            hasRetry[best] = 1;
+            run.retry = op;
+            run.hasRetry = true;
             continue;
         }
-        hasRetry[best] = 0;
-        pe[best].fp = fpMix(pe[best].fp, best, op, acc.data);
-        pe[best].completed += 1;
+        run.hasRetry = false;
+        run.fp = fpMix(run.fp, best, op, acc.data);
+        run.completed += 1;
         src.complete(best, op, acc.data);
     }
 
     ParallelRunResult out;
-    out.serialized = true;
-    for (PeId p = 0; p < pes; ++p) {
-        out.fingerprint = mix64(out.fingerprint ^ pe[p].fp);
-        out.completedRefs += pe[p].completed;
-        out.serialActions += pe[p].completed;
+    for (const PeRun& run : pe) {
+        out.fingerprint = mix64(out.fingerprint ^ run.fp);
+        out.completedRefs += run.completed;
     }
     return out;
-}
-
-} // namespace
-
-void
-RefSource::onStall()
-{
-    PIM_PANIC("parallel core: every unfinished PE is parked on a lock "
-              "(workload deadlock)");
-}
-
-bool
-parallelCoreSerialized(const System& system, const RefSource& source,
-                       const ParallelCoreOptions& options)
-{
-    return options.jobs <= 1 || !source.independent() ||
-           system.observed() || system.config().cache.hitCycles == 0 ||
-           system.numPes() >= (1u << kPeKeyBits);
-}
-
-ParallelRunResult
-runParallelCore(System& system, RefSource& source,
-                const ParallelCoreOptions& options)
-{
-    if (parallelCoreSerialized(system, source, options))
-        return runSerialized(system, source);
-    SpmdEngine engine(system, source, options);
-    return engine.run();
 }
 
 } // namespace pim

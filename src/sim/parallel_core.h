@@ -1,35 +1,15 @@
 /**
  * @file
- * Parallel discrete-event core: concurrent PEs with deterministic
- * bus-epoch rendezvous (docs/ARCHITECTURE.md, "Threading model").
+ * The serialized RefSource driver (docs/ARCHITECTURE.md, "Threading
+ * model"): the paper's per-PE cache simulators synchronizing at each
+ * bus request, as one loop that always steps the non-parked PE with the
+ * smallest local clock (ties to the lower PE id), pulls that PE's next
+ * operation and retries a lock-rejected operation after its UL wakeup.
  *
- * The sequential drivers step one PE at a time in (clock, pe) order, so
- * a single simulation is capped by one host core even though PEs only
- * interact at bus transactions. This core exploits that independence:
- * between bus transactions, PEs advance concurrently through their
- * private cache hits (System::accessLocalHit), and rendezvous at *bus
- * epochs* — an EpochGate barrier whose last arriver becomes the epoch
- * leader, executes every due bus transaction in exact (clock, pe)
- * lexicographic order, and publishes the next epoch's key limit: the
- * smallest key at which any PE could issue its next bus transaction.
- * Private hits with keys below the limit cannot be affected by (or
- * affect) any future bus transaction, so running them concurrently is
- * indistinguishable from the sequential interleaving.
- *
- * Determinism: for any jobs count the core executes the exact same
- * operation sequence per PE and the exact same global order of bus
- * transactions as the sequential loop, so fingerprint, makespan,
- * busTransactions and protocolHash are all byte-identical — enforced by
- * pim_perf --par-jobs, pim_conform --par-fuzz and the `par` test label.
- *
- * When the run must be observed in global order (access observers,
- * event sinks, a reference observer or a fault injector attached), when
- * the source's streams are not PE-independent, or when jobs <= 1, the
- * core degrades to a serialized-epoch mode: a single inline loop that
- * reproduces the legacy driver order bit-for-bit (every operation is
- * its own epoch). Fault-injection campaigns therefore compose with any
- * --par-jobs setting without perturbing seed replay
- * (docs/ROBUSTNESS.md).
+ * The pick happens *before* the pull, so sources with one shared RNG
+ * (the stress driver) draw in exactly the (clock, pe) order. Hooks
+ * attached to the System (observers, sinks, a fault injector) see every
+ * access in that same global order.
  */
 
 #ifndef PIMCACHE_SIM_PARALLEL_CORE_H_
@@ -50,25 +30,7 @@ struct ParOp {
     Word wdata = 0;
 };
 
-/**
- * Per-PE operation stream consumed by the parallel core.
- *
- * Contract for independent() == true sources (the concurrent mode):
- *  - next()/complete() for one PE are never called concurrently with
- *    each other, but different PEs' calls may run on different threads;
- *    per-PE generation state must not be shared across PEs.
- *  - next(pe) may be called a bounded number of operations ahead of the
- *    corresponding complete(pe) calls (prefetch into the epoch buffer),
- *    so generation must not depend on the completion data of in-flight
- *    operations. The core never pulls past a pending lock operation
- *    (LR/UW/U), so lock-dependent generation state (what this PE
- *    currently holds) may be consulted freely.
- *
- * independent() == false sources (e.g. the stress driver's single
- * shared RNG) run on the serialized-epoch path, which pulls exactly one
- * operation at a time, always for the (clock, pe)-minimal PE, after
- * selecting it — the legacy driver order, bit for bit.
- */
+/** Per-PE operation stream consumed by runParallelCore. */
 class RefSource
 {
   public:
@@ -88,57 +50,46 @@ class RefSource
         (void)pe; (void)op; (void)data;
     }
 
-    /** True when per-PE streams are generation-independent (see above). */
+    /**
+     * Unused by the core; kept only because perfbench/ forwards it.
+     * True when per-PE streams do not share generation state.
+     */
     virtual bool independent() const { return true; }
 
     /**
      * Every unfinished PE is parked on a lock: the workload deadlocked.
-     * The default panics; harnesses with a lock watchdog override this
-     * to report the stall (and throw their own diagnosis).
+     * Harnesses with a lock watchdog override this to throw their own
+     * diagnosis. If it returns, the core throws SimFault(Deadlock)
+     * naming each parked PE and its block (System::throwDeadlock).
      */
-    virtual void onStall();
+    virtual void onStall() {}
 };
 
-/** Tuning/selection knobs for runParallelCore. */
+/** Options for runParallelCore. */
 struct ParallelCoreOptions {
-    /** Worker threads (including the calling thread). <= 1: serialized. */
+    /** Unused: the core is serialized. Kept only for perfbench/. */
     unsigned jobs = 1;
-    /** Per-PE operation prefetch depth (concurrent mode only). */
-    std::uint32_t pullDepth = 64;
 };
 
-/** Outcome of a parallel-core run. */
+/** Outcome of a runParallelCore run. */
 struct ParallelRunResult {
     /** Completed references, summed over PEs. */
     std::uint64_t completedRefs = 0;
-    /** References executed on the concurrent private-hit path. */
+    /** Always 0: the core has no concurrent path. Kept for perfbench/. */
     std::uint64_t localRefs = 0;
-    /** Epoch-gate rendezvous completed (0 in serialized mode). */
+    /** Always 0: the core has no epochs. Kept for perfbench/. */
     std::uint64_t epochs = 0;
-    /** Bus transactions + retries executed in leader serial phases. */
-    std::uint64_t serialActions = 0;
     /**
-     * Jobs-invariant run fingerprint: per-PE splitmix64 chains over
-     * (op, addr, data) in program order, folded in PE order. Identical
-     * for any jobs count and for the serialized mode.
+     * Run fingerprint: per-PE splitmix64 chains over (op, addr, data)
+     * in program order, folded in PE order.
      */
     std::uint64_t fingerprint = 0;
-    /** True when the run used the serialized-epoch mode. */
-    bool serialized = false;
 };
 
 /**
- * True when runParallelCore would use the serialized-epoch mode for
- * this system/source/options combination (see file comment).
- */
-bool parallelCoreSerialized(const System& system, const RefSource& source,
-                            const ParallelCoreOptions& options);
-
-/**
- * Drive @p system with @p source until every PE's stream ends. Lock
- * waits are retried transparently. On return the per-PE RefStats
- * shards are merged into system.refStats(), so reports see exactly the
- * sequential counters.
+ * Drive @p system with @p source until every PE's stream ends (see the
+ * file comment). Throws SimFault(Deadlock) when every unfinished PE is
+ * parked and source.onStall() returns.
  */
 ParallelRunResult runParallelCore(System& system, RefSource& source,
                                   const ParallelCoreOptions& options);

@@ -36,10 +36,9 @@ struct PeState {
 };
 
 /**
- * The stress workload as a parallel-core RefSource. Every random
- * decision draws from ONE shared RNG in global simulation order, so
- * independent() is false and the core runs its serialized-epoch mode:
- * next() is called for the (clock, pe)-minimal PE only after selecting
+ * The stress workload as a RefSource for runParallelCore. Every random
+ * decision draws from ONE shared RNG in global simulation order: the
+ * core calls next() for the (clock, pe)-minimal PE only after selecting
  * it, reproducing the legacy drive loop bit for bit. Lock-rejected
  * operations are retried by the core without a new pull, exactly like
  * the legacy retry slots.
@@ -158,8 +157,6 @@ class GlobalStressSource : public RefSource
         }
         completed_ += 1;
     }
-
-    bool independent() const override { return false; }
 
     void onStall() override { watchdog_.reportStall(); }
 
@@ -320,15 +317,7 @@ runStress(const StressConfig& config)
                               lock_words, rec_base);
 
     try {
-        // Drive the run through the parallel core. The stress System is
-        // observed and the source shares one RNG, so this is always the
-        // serialized-epoch path — bit-identical for any parJobs, with
-        // fault sites firing at (per-operation) epoch boundaries.
-        ParallelCoreOptions core_options;
-        core_options.jobs = std::max<std::uint32_t>(1, config.parJobs);
-        const ParallelRunResult core =
-            runParallelCore(system, source, core_options);
-        result.coreSerialized = core.serialized;
+        runParallelCore(system, source, ParallelCoreOptions{});
         result.completedRefs = source.completedRefs();
         result.fingerprint = source.fingerprint();
 

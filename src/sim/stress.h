@@ -81,18 +81,6 @@ struct StressConfig {
      * run without the budget reproduces the full simulation.
      */
     double timeoutSeconds = 0;
-    /**
-     * Parallel-core jobs for the drive loop (0 or 1 = serialized). The
-     * stress harness drives its System through runParallelCore, but a
-     * stress System always has order-sensitive hooks attached (the
-     * watchdog, usually the auditor, the metrics/attribution sinks) and
-     * its source draws from one shared RNG, so the core degrades to the
-     * serialized-epoch mode: results are bit-identical for ANY value —
-     * fault sites fire at epoch boundaries deterministically and seed
-     * replay is exact (docs/ROBUSTNESS.md). Not part of the replay line
-     * for that reason.
-     */
-    std::uint32_t parJobs = 0;
     /** Optional cooperative cancel (not owned; may be tripped remotely). */
     const CancelToken* cancel = nullptr;
     WatchdogConfig watchdog;
@@ -114,11 +102,6 @@ struct StressResult {
     std::string message;            ///< Fault message when failed.
     std::string replayLine;         ///< Reproduction flags when failed.
     std::uint64_t completedRefs = 0;
-    /**
-     * True when the drive loop ran on the parallel core's serialized-
-     * epoch path (always, today: see StressConfig::parJobs).
-     */
-    bool coreSerialized = true;
     std::uint64_t auditChecks = 0;  ///< Auditor invariant checks run.
     std::uint64_t fingerprint = 0;  ///< Hash of every completed access.
     Cycles makespan = 0;

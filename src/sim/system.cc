@@ -195,33 +195,6 @@ System::access(PeId pe, MemOp op, Addr addr, Area area, Word wdata)
     return out;
 }
 
-System::Access
-System::accessLocalHit(PeId pe, MemOp op, Addr addr, Area area, Word wdata,
-                       RefStats& ref_shard)
-{
-    MemRef ref;
-    ref.pe = pe;
-    ref.addr = addr;
-    ref.area = area;
-    ref.op = config_.policy.apply(area, op);
-
-    const Cycles startedAt = clock_[pe];
-    const PimCache::AccessResult result =
-        caches_[pe]->access(ref, wdata, startedAt);
-    PIM_ASSERT(!result.lockWait,
-               "accessLocalHit executed an operation that lock-waited; "
-               "the epoch classifier mislabeled a bus operation");
-    PIM_ASSERT(result.doneAt == startedAt + config_.cache.hitCycles,
-               "accessLocalHit operation did not complete in hitCycles; "
-               "the epoch classifier mislabeled a bus operation");
-    clock_[pe] = result.doneAt;
-    ref_shard.record(ref);
-
-    Access out;
-    out.data = result.data;
-    return out;
-}
-
 void
 System::park(PeId pe, Addr block, Cycles when)
 {
@@ -273,6 +246,21 @@ System::pendingWaiters() const
             waiters.push_back(pe);
     }
     return waiters;
+}
+
+void
+System::throwDeadlock(const char* driver)
+{
+    std::string parked;
+    for (PeId pe : pendingWaiters()) {
+        parked += formatMsg(parked.empty() ? "" : ", ", "pe", pe,
+                            " on block ", parkedOn_[pe]);
+    }
+    abandonParkedWaiters();
+    throw PIM_SIM_FAULT(SimFaultKind::Deadlock, driver,
+                        ": every PE with work left is parked on a lock "
+                        "that is never released; parked: ",
+                        parked);
 }
 
 void

@@ -134,58 +134,6 @@ class System : public UnlockListener
      */
     Access access(PeId pe, MemOp op, Addr addr, Area area, Word wdata = 0);
 
-    /**
-     * True iff access(pe, op, addr, area) would, right now, complete as
-     * a private cache hit — no bus transaction, no shared-state change
-     * (PimCache::opIsPrivateHit after OptPolicy). The parallel core's
-     * epoch classifier.
-     */
-    bool
-    accessIsLocal(PeId pe, MemOp op, Addr addr, Area area) const
-    {
-        return caches_[pe]->opIsPrivateHit(config_.policy.apply(area, op),
-                                           addr);
-    }
-
-    /**
-     * Execute an access that accessIsLocal() classified as a private
-     * hit, on the parallel core's concurrent path: touches only @p pe's
-     * cache, @p pe's clock and the caller-supplied @p ref_shard (merged
-     * into refStats() at the run barrier) — never the run guard,
-     * observers, sinks or the global RefStats, so concurrent calls for
-     * distinct PEs are race-free by construction. Panics if the
-     * operation turns out not to be a private hit (the classifier and
-     * the epoch limit make that unreachable).
-     */
-    Access accessLocalHit(PeId pe, MemOp op, Addr addr, Area area,
-                          Word wdata, RefStats& ref_shard);
-
-    /**
-     * Snoop version of @p pe's cache (PimCache::snoopVersion): the
-     * parallel core's probe-staleness check.
-     */
-    std::uint64_t
-    cacheSnoopVersion(PeId pe) const
-    {
-        return caches_[pe]->snoopVersion();
-    }
-
-    // -- Attachment introspection (parallel core mode selection) ----------
-
-    /**
-     * True when any hook that must see every access in global order is
-     * attached (access observers, event sinks, a reference observer or
-     * a fault injector). The parallel core degrades to its serialized-
-     * epoch mode in that case so hook callbacks fire in exactly the
-     * sequential order (docs/ARCHITECTURE.md, "Threading model").
-     */
-    bool
-    observed() const
-    {
-        return !observers_.empty() || sink_ != nullptr ||
-               static_cast<bool>(refObserver_) || injector_ != nullptr;
-    }
-
     /** The attached run guard (nullptr when none). */
     RunGuard* runGuard() const { return guard_; }
 
@@ -281,6 +229,14 @@ class System : public UnlockListener
 
     /** The block address @p pe is parked on (kNoAddr when not parked). */
     Addr parkedOnBlock(PeId pe) const { return parkedOn_[pe]; }
+
+    /**
+     * Every PE with work left is parked on a lock: throw
+     * SimFault(Deadlock) naming @p driver and each parked PE with its
+     * block. The parked waiters are abandoned first, so a caller that
+     * catches the fault can still destroy the System.
+     */
+    [[noreturn]] void throwDeadlock(const char* driver);
 
     /**
      * Canonical protocol state over the address range [@p lo, @p hi):

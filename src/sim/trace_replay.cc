@@ -36,11 +36,8 @@ TraceReplay::run()
                 pick_index = queue[pe].front();
             }
         }
-        if (pick == kNoPe) {
-            PIM_FATAL("trace replay deadlock: every PE with pending "
-                      "references is busy-waiting on a lock that is never "
-                      "released");
-        }
+        if (pick == kNoPe)
+            system_.throwDeadlock("trace replay");
 
         const MemRef& ref = trace_[pick_index];
         const System::Access result =

@@ -30,8 +30,9 @@ class TraceReplay
     TraceReplay(System& system, const std::vector<MemRef>& trace);
 
     /**
-     * Replay the whole trace. Fatal if every remaining PE is parked on a
-     * lock that no remaining reference will release (a malformed trace).
+     * Replay the whole trace. Throws SimFault(Deadlock) if every
+     * remaining PE is parked on a lock that no remaining reference will
+     * release (a malformed trace).
      */
     void run();
 

@@ -192,12 +192,6 @@ runStressTask(SweepRow& row, std::uint64_t derived_seed,
     config.hopCycles =
         static_cast<std::uint32_t>(point.number("hopCycles", 4));
     config.timeoutSeconds = timeout_seconds;
-    // Drive-loop jobs for the parallel core; a stress System always
-    // degrades to the serialized-epoch mode, so any value is
-    // bit-identical (stress.h). Set only when the point carries it so
-    // default sweep rows stay byte-identical.
-    config.parJobs =
-        static_cast<std::uint32_t>(point.number("parJobs", 0));
     if (point.has("starvationBound")) {
         config.watchdog.starvationBound = static_cast<std::uint64_t>(
             point.number("starvationBound", 100000));

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "common/options.h"
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "common/table.h"
+#include "common/xassert.h"
 
 namespace pim {
 namespace {
@@ -143,6 +147,36 @@ TEST(Options, SetOverrides)
     EXPECT_EQ(opts.getInt("a", 0), 3);
     opts.set("a", "4");
     EXPECT_EQ(opts.getInt("a", 0), 4);
+}
+
+TEST(Options, UnknownOptionNamesTheFirstUnlisted)
+{
+    const char* argv[] = {"prog", "--pes=8", "--par-jobs=2", "--zeta"};
+    const Options opts = Options::parse(4, argv);
+    EXPECT_EQ(opts.unknownOption({"pes", "zeta"}), "par-jobs");
+    EXPECT_EQ(opts.unknownOption({"pes", "par-jobs"}), "zeta");
+    EXPECT_EQ(opts.unknownOption({"pes", "par-jobs", "zeta"}), "");
+}
+
+TEST(XAssertDeath, PanicFlushesBufferedStdout)
+{
+    // A panicking bench must keep the tables it already printed: the
+    // child sends stdout to a file (fully buffered), prints, panics.
+    const std::string path = ::testing::TempDir() + "pim_panic_flush.txt";
+    std::remove(path.c_str());
+    EXPECT_DEATH(
+        {
+            if (std::freopen(path.c_str(), "w", stdout) == nullptr)
+                std::abort();
+            std::printf("partial table\n");
+            PIM_PANIC("boom");
+        },
+        "boom");
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    EXPECT_EQ(text.str(), "partial table\n");
+    std::remove(path.c_str());
 }
 
 TEST(Table, RendersAligned)

@@ -1,23 +1,20 @@
 /**
  * @file
- * Parallel discrete-event core (ctest -L par, docs/ARCHITECTURE.md
- * "Threading model"): EpochGate rendezvous/ordering units, the
- * jobs-invariance contract (identical fingerprint, makespan, bus
- * transactions, protocol hash and reference counters for any --par-jobs
- * count), the serialized-mode differential against a hand-rolled legacy
- * driver loop, and a randomized shape x jobs fuzz including locks,
- * optimized commands, write-through and clustered topologies.
+ * The serialized RefSource driver (runParallelCore, docs/ARCHITECTURE.md
+ * "Threading model"): a differential against a hand-rolled legacy
+ * driver loop at the PE counts the tools accept, flat and clustered,
+ * over lock, optimized-command and write-through mixes; and the
+ * classified deadlock it throws when every unfinished PE is parked.
  */
 
-#include <atomic>
+#include <algorithm>
 #include <optional>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
-#include "common/thread_pool.h"
+#include "common/sim_fault.h"
 #include "sim/par_workload.h"
 #include "sim/parallel_core.h"
 #include "sim/system.h"
@@ -25,77 +22,8 @@
 namespace pim {
 namespace {
 
-// ---------------------------------------------------------------------
-// EpochGate units
-// ---------------------------------------------------------------------
-
-TEST(EpochGateTest, SinglePartyAlwaysLeads)
-{
-    EpochGate gate(1);
-    for (int i = 0; i < 8; ++i) {
-        EXPECT_TRUE(gate.arrive());
-        EXPECT_EQ(gate.generation(), static_cast<std::uint64_t>(i));
-        gate.release();
-    }
-}
-
-TEST(EpochGateTest, ExactlyOneLeaderPerGeneration)
-{
-    constexpr unsigned kParties = 4;
-    constexpr int kGenerations = 200;
-    EpochGate gate(kParties);
-    std::atomic<int> leaders{0};
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kParties; ++t) {
-        threads.emplace_back([&] {
-            for (int g = 0; g < kGenerations; ++g) {
-                if (gate.arrive()) {
-                    leaders.fetch_add(1, std::memory_order_relaxed);
-                    gate.release();
-                }
-            }
-        });
-    }
-    for (auto& th : threads)
-        th.join();
-    EXPECT_EQ(leaders.load(), kGenerations);
-}
-
-TEST(EpochGateTest, LeaderWritesVisibleAfterRelease)
-{
-    // The happens-before chain the parallel core relies on: plain
-    // (non-atomic) writes by the epoch leader must be visible to every
-    // party once arrive() returns from the next rendezvous.
-    constexpr unsigned kParties = 3;
-    constexpr int kGenerations = 500;
-    EpochGate gate(kParties);
-    std::uint64_t shared = 0; // plain variable, ordered only by the gate
-    std::atomic<bool> failed{false};
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < kParties; ++t) {
-        threads.emplace_back([&] {
-            for (int g = 0; g < kGenerations; ++g) {
-                if (gate.arrive()) {
-                    shared = static_cast<std::uint64_t>(g) + 1;
-                    gate.release();
-                } else if (shared != static_cast<std::uint64_t>(g) + 1) {
-                    failed.store(true);
-                }
-            }
-        });
-    }
-    for (auto& th : threads)
-        th.join();
-    EXPECT_FALSE(failed.load());
-}
-
-// ---------------------------------------------------------------------
-// Jobs invariance
-// ---------------------------------------------------------------------
-
-/** Everything the issue requires to be byte-identical across jobs. */
+/** Everything the driver must reproduce bit for bit. */
 struct Observables {
-    std::uint64_t fingerprint = 0;
     Cycles makespan = 0;
     std::uint64_t busTransactions = 0;
     Cycles busCycles = 0;
@@ -105,35 +33,16 @@ struct Observables {
     std::uint64_t refWrites = 0;
     std::vector<std::uint64_t> snapshot;
 
-    bool
-    operator==(const Observables& o) const
-    {
-        return fingerprint == o.fingerprint && makespan == o.makespan &&
-               busTransactions == o.busTransactions &&
-               busCycles == o.busCycles &&
-               interClusterCycles == o.interClusterCycles &&
-               protocolHash == o.protocolHash && refTotal == o.refTotal &&
-               refWrites == o.refWrites && snapshot == o.snapshot;
-    }
+    bool operator==(const Observables& o) const = default;
 };
 
-std::uint64_t
-busTransactionTotal(const BusStats& bus)
-{
-    std::uint64_t total = 0;
-    for (int p = 0; p < kNumBusPatterns; ++p)
-        total += bus.transByPattern[p];
-    return total;
-}
-
 Observables
-collect(const System& system, std::uint64_t mem_words,
-        std::uint64_t fingerprint)
+collect(const System& system, std::uint64_t mem_words)
 {
     Observables obs;
-    obs.fingerprint = fingerprint;
     obs.makespan = system.makespan();
-    obs.busTransactions = busTransactionTotal(system.bus().stats());
+    for (int p = 0; p < kNumBusPatterns; ++p)
+        obs.busTransactions += system.bus().stats().transByPattern[p];
     obs.busCycles = system.bus().stats().totalCycles;
     obs.interClusterCycles = system.bus().stats().interClusterCycles;
     obs.protocolHash = system.protocolHash(0, mem_words);
@@ -143,142 +52,88 @@ collect(const System& system, std::uint64_t mem_words,
     return obs;
 }
 
-SystemConfig
-baseConfig(std::uint32_t pes, std::uint64_t mem_words)
-{
-    SystemConfig config;
-    config.numPes = pes;
-    config.memoryWords = mem_words;
-    return config;
-}
+/** Workload mixes (the shapes of the former jobs-invariance tests). */
+enum class Mix { Default, LockMix, Optimized, WriteThrough };
 
-Observables
-runShape(const ParShape& shape, SystemConfig config, unsigned jobs,
-         ParallelRunResult* result_out = nullptr)
+const char*
+mixName(Mix mix)
 {
-    ParWorkloadSource source(shape, config.numPes,
-                             config.cache.geometry.blockWords);
-    config.memoryWords = source.memoryWords();
-    System system(config);
-    ParallelCoreOptions options;
-    options.jobs = jobs;
-    const ParallelRunResult result =
-        runParallelCore(system, source, options);
-    if (result_out != nullptr)
-        *result_out = result;
-    return collect(system, config.memoryWords, result.fingerprint);
-}
-
-TEST(ParallelCoreTest, JobsInvarianceDefaultShape)
-{
-    ParShape shape;
-    shape.stepsPerPe = 3000;
-    const SystemConfig config = baseConfig(8, 0);
-    ParallelRunResult seq_result;
-    const Observables seq = runShape(shape, config, 1, &seq_result);
-    EXPECT_TRUE(seq_result.serialized);
-    EXPECT_EQ(seq_result.epochs, 0u);
-    EXPECT_EQ(seq_result.completedRefs, 8u * 3000u);
-    EXPECT_GT(seq.busTransactions, 0u);
-
-    for (unsigned jobs : {2u, 3u, 8u}) {
-        ParallelRunResult par_result;
-        const Observables par = runShape(shape, config, jobs, &par_result);
-        EXPECT_FALSE(par_result.serialized) << "jobs=" << jobs;
-        EXPECT_GT(par_result.epochs, 0u) << "jobs=" << jobs;
-        EXPECT_GT(par_result.localRefs, 0u) << "jobs=" << jobs;
-        EXPECT_EQ(par_result.completedRefs, seq_result.completedRefs);
-        EXPECT_TRUE(par == seq) << "jobs=" << jobs;
+    switch (mix) {
+      case Mix::Default:      return "default";
+      case Mix::LockMix:      return "lockmix";
+      case Mix::Optimized:    return "optimized";
+      case Mix::WriteThrough: return "writethrough";
     }
+    return "?";
 }
 
-TEST(ParallelCoreTest, JobsInvarianceLockMix)
+struct DriverCase {
+    std::uint32_t pes = 0;
+    bool clustered = false;
+    Mix mix = Mix::Default;
+
+    /** "6pes_flat_default": the test name suffix and printed value. */
+    std::string
+    name() const
+    {
+        return std::to_string(pes) + "pes_" +
+               (clustered ? "clustered_" : "flat_") + mixName(mix);
+    }
+};
+
+void
+PrintTo(const DriverCase& c, std::ostream* os)
 {
-    ParShape shape;
-    shape.stepsPerPe = 2000;
-    shape.lockPct = 25;
-    shape.sharedPct = 5;
-    const SystemConfig config = baseConfig(6, 0);
-    const Observables seq = runShape(shape, config, 1);
-    for (unsigned jobs : {2u, 6u})
-        EXPECT_TRUE(runShape(shape, config, jobs) == seq)
-            << "jobs=" << jobs;
+    *os << c.name();
 }
 
-TEST(ParallelCoreTest, JobsInvarianceOptimizedCommands)
+class ParallelCoreTest : public ::testing::TestWithParam<DriverCase>
 {
-    ParShape shape;
-    shape.stepsPerPe = 2000;
-    shape.optPct = 30;
-    shape.sharedPct = 4;
-    const SystemConfig config = baseConfig(8, 0);
-    const Observables seq = runShape(shape, config, 1);
-    for (unsigned jobs : {2u, 8u})
-        EXPECT_TRUE(runShape(shape, config, jobs) == seq)
-            << "jobs=" << jobs;
-}
+};
 
-TEST(ParallelCoreTest, JobsInvarianceWriteThrough)
+TEST_P(ParallelCoreTest, SerializedMatchesManualDriverLoop)
 {
+    const DriverCase& c = GetParam();
     ParShape shape;
-    shape.stepsPerPe = 1500;
-    SystemConfig config = baseConfig(4, 0);
-    config.cache.writeThrough = true;
-    const Observables seq = runShape(shape, config, 1);
-    for (unsigned jobs : {2u, 4u})
-        EXPECT_TRUE(runShape(shape, config, jobs) == seq)
-            << "jobs=" << jobs;
-}
-
-TEST(ParallelCoreTest, JobsInvarianceClusteredTopology)
-{
-    ParShape shape;
-    shape.stepsPerPe = 2000;
-    shape.sharedPct = 6;
-    SystemConfig config = baseConfig(8, 0);
-    config.cluster.clusterSize = 2;
-    config.cluster.hopCycles = 2;
-    const Observables seq = runShape(shape, config, 1);
-    EXPECT_GT(seq.interClusterCycles, 0u);
-    for (unsigned jobs : {2u, 8u})
-        EXPECT_TRUE(runShape(shape, config, jobs) == seq)
-            << "jobs=" << jobs;
-}
-
-TEST(ParallelCoreTest, JobsLargerThanPes)
-{
-    ParShape shape;
-    shape.stepsPerPe = 1000;
-    const SystemConfig config = baseConfig(3, 0);
-    const Observables seq = runShape(shape, config, 1);
-    EXPECT_TRUE(runShape(shape, config, 8) == seq);
-}
-
-// ---------------------------------------------------------------------
-// Serialized mode is the legacy driver, bit for bit
-// ---------------------------------------------------------------------
-
-TEST(ParallelCoreTest, SerializedMatchesManualDriverLoop)
-{
-    ParShape shape;
-    shape.stepsPerPe = 2000;
-    shape.lockPct = 15;
-    shape.sharedPct = 5;
-    shape.optPct = 10;
-    const std::uint32_t pes = 6;
+    // About 12K references per run, whatever the PE count.
+    shape.stepsPerPe = std::max<std::uint64_t>(100, 12000 / c.pes);
+    SystemConfig config;
+    config.numPes = c.pes;
+    switch (c.mix) {
+      case Mix::Default:
+        break;
+      case Mix::LockMix:
+        shape.lockPct = 25;
+        shape.sharedPct = 5;
+        break;
+      case Mix::Optimized:
+        shape.optPct = 30;
+        shape.sharedPct = 4;
+        break;
+      case Mix::WriteThrough:
+        config.cache.writeThrough = true;
+        break;
+    }
+    if (c.clustered) {
+        // Clusters of 8; the 6-PE point uses 2 so that it, too, spans
+        // more than one cluster.
+        config.cluster.clusterSize = c.pes < 16 ? 2 : 8;
+        config.cluster.hopCycles = 2;
+    }
 
     // Manual legacy loop: always step the (clock, pe)-minimal live PE,
     // pulling its next operation only after selecting it.
-    ParWorkloadSource manual_source(shape, pes, 4);
-    SystemConfig config = baseConfig(pes, manual_source.memoryWords());
+    ParWorkloadSource manual_source(shape, c.pes, 4);
+    config.memoryWords = manual_source.memoryWords();
     Observables manual;
+    std::uint64_t manual_refs = 0;
     {
         System system(config);
-        std::vector<std::optional<ParOp>> pending(pes);
-        std::vector<bool> done(pes, false);
+        std::vector<std::optional<ParOp>> pending(c.pes);
+        std::vector<bool> done(c.pes, false);
         while (true) {
             PeId best = kNoPe;
-            for (PeId pe = 0; pe < pes; ++pe) {
+            for (PeId pe = 0; pe < c.pes; ++pe) {
                 if (done[pe] || system.parked(pe))
                     continue;
                 if (best == kNoPe ||
@@ -301,129 +156,100 @@ TEST(ParallelCoreTest, SerializedMatchesManualDriverLoop)
             if (!access.lockWait) {
                 manual_source.complete(best, op, access.data);
                 pending[best].reset();
+                manual_refs += 1;
             }
         }
-        manual = collect(system, config.memoryWords, 0);
+        manual = collect(system, config.memoryWords);
+    }
+    EXPECT_GT(manual.busTransactions, 0u);
+    if (c.clustered) {
+        EXPECT_GT(manual.interClusterCycles, 0u);
     }
 
-    ParWorkloadSource core_source(shape, pes, 4);
+    ParWorkloadSource core_source(shape, c.pes, 4);
     System system(config);
-    ParallelCoreOptions options;
-    options.jobs = 1;
     const ParallelRunResult result =
-        runParallelCore(system, core_source, options);
-    EXPECT_TRUE(result.serialized);
-    Observables core = collect(system, config.memoryWords, 0);
-    EXPECT_TRUE(core == manual);
-
-    // And the concurrent mode agrees with both (fingerprint aside,
-    // which the manual loop does not compute).
-    ParWorkloadSource par_source(shape, pes, 4);
-    System par_system(config);
-    options.jobs = 4;
-    runParallelCore(par_system, par_source, options);
-    Observables par = collect(par_system, config.memoryWords, 0);
-    EXPECT_TRUE(par == manual);
+        runParallelCore(system, core_source, ParallelCoreOptions{});
+    EXPECT_EQ(result.completedRefs, manual_refs);
+    EXPECT_GE(result.completedRefs, shape.stepsPerPe * c.pes);
+    EXPECT_TRUE(collect(system, config.memoryWords) == manual);
 }
 
-// ---------------------------------------------------------------------
-// Serialized-mode degradation triggers
-// ---------------------------------------------------------------------
-
-TEST(ParallelCoreTest, ObserverForcesSerializedMode)
+std::vector<DriverCase>
+driverCases()
 {
-    class CountingObserver : public AccessObserver
-    {
-      public:
-        std::uint64_t seen = 0;
-        void
-        afterAccess(PeId, MemOp, Addr, Area, Word, Word, bool) override
-        {
-            seen += 1;
+    std::vector<DriverCase> cases;
+    for (std::uint32_t pes : {6u, 32u, 64u, 128u}) {
+        for (bool clustered : {false, true}) {
+            for (Mix mix : {Mix::Default, Mix::LockMix, Mix::Optimized,
+                            Mix::WriteThrough}) {
+                cases.push_back({pes, clustered, mix});
+            }
         }
-    };
-
-    ParShape shape;
-    shape.stepsPerPe = 500;
-    const std::uint32_t pes = 4;
-    ParWorkloadSource source(shape, pes, 4);
-    SystemConfig config = baseConfig(pes, source.memoryWords());
-    System system(config);
-    CountingObserver observer;
-    system.addAccessObserver(&observer);
-
-    ParallelCoreOptions options;
-    options.jobs = 8;
-    EXPECT_TRUE(parallelCoreSerialized(system, source, options));
-    const ParallelRunResult result =
-        runParallelCore(system, source, options);
-    EXPECT_TRUE(result.serialized);
-    EXPECT_EQ(result.epochs, 0u);
-    EXPECT_GE(observer.seen, result.completedRefs);
-
-    // Same shape, unobserved: identical observables, concurrent mode.
-    ParWorkloadSource par_source(shape, pes, 4);
-    System par_system(config);
-    EXPECT_FALSE(parallelCoreSerialized(par_system, par_source, options));
-    const ParallelRunResult par =
-        runParallelCore(par_system, par_source, options);
-    EXPECT_FALSE(par.serialized);
-    EXPECT_EQ(par.completedRefs, result.completedRefs);
-    EXPECT_EQ(par.fingerprint, result.fingerprint);
-    EXPECT_EQ(par_system.makespan(), system.makespan());
-}
-
-TEST(ParallelCoreTest, ZeroHitCyclesForcesSerializedMode)
-{
-    ParShape shape;
-    shape.stepsPerPe = 300;
-    const std::uint32_t pes = 4;
-    ParWorkloadSource source(shape, pes, 4);
-    SystemConfig config = baseConfig(pes, source.memoryWords());
-    config.cache.hitCycles = 0;
-    System system(config);
-    ParallelCoreOptions options;
-    options.jobs = 4;
-    EXPECT_TRUE(parallelCoreSerialized(system, source, options));
-    const ParallelRunResult result =
-        runParallelCore(system, source, options);
-    EXPECT_TRUE(result.serialized);
-    EXPECT_GT(result.completedRefs, 0u);
-}
-
-// ---------------------------------------------------------------------
-// Randomized shape x jobs fuzz
-// ---------------------------------------------------------------------
-
-TEST(ParallelCoreTest, FuzzShapesAcrossJobs)
-{
-    Rng rng(20260809);
-    for (int iteration = 0; iteration < 12; ++iteration) {
-        ParShape shape;
-        shape.stepsPerPe = 200 + rng.below(600);
-        shape.sharedWords = 64 << rng.below(4);
-        shape.privateWords = 256 << rng.below(3);
-        shape.sharedPct = rng.below(30);
-        shape.writePct = rng.below(100);
-        shape.lockPct = rng.chance(1, 2) ? rng.below(30) : 0;
-        shape.optPct = rng.chance(1, 2) ? rng.below(40) : 0;
-        shape.seed = rng.next();
-
-        SystemConfig config = baseConfig(2 + rng.below(7), 0);
-        if (rng.chance(1, 3))
-            config.cluster.clusterSize = 2;
-        if (rng.chance(1, 4))
-            config.cache.writeThrough = true;
-        if (rng.chance(1, 3))
-            config.snoopFilter = false;
-
-        const Observables seq = runShape(shape, config, 1);
-        const unsigned jobs = 2 + rng.below(7);
-        const Observables par = runShape(shape, config, jobs);
-        EXPECT_TRUE(par == seq)
-            << "iteration " << iteration << " jobs=" << jobs
-            << " pes=" << config.numPes << " seed=" << shape.seed;
     }
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ParallelCoreTest, ::testing::ValuesIn(driverCases()),
+    [](const ::testing::TestParamInfo<DriverCase>& info) {
+        return info.param.name();
+    });
+
+// ---------------------------------------------------------------------
+// Classified deadlock
+// ---------------------------------------------------------------------
+
+/** Per-PE scripted operation lists. */
+class ScriptSource : public RefSource
+{
+  public:
+    explicit ScriptSource(std::vector<std::vector<ParOp>> script)
+        : script_(std::move(script)), next_(script_.size(), 0)
+    {
+    }
+
+    bool
+    next(PeId pe, ParOp* out) override
+    {
+        if (next_[pe] == script_[pe].size())
+            return false;
+        *out = script_[pe][next_[pe]++];
+        return true;
+    }
+
+  private:
+    std::vector<std::vector<ParOp>> script_;
+    std::vector<std::size_t> next_;
+};
+
+TEST(ParallelCoreDeadlock, CrossedLocksThrowNamingParkedPes)
+{
+    // PE0 locks word 0 then wants word 64; PE1 locks word 64 then wants
+    // word 0: each parks on the block the other holds.
+    SystemConfig config;
+    config.numPes = 2;
+    config.memoryWords = 128;
+    System system(config);
+    const auto lr = [](Addr addr) {
+        return ParOp{MemOp::LR, addr, Area::Heap, 0};
+    };
+    ScriptSource source({{lr(0), lr(64)}, {lr(64), lr(0)}});
+    try {
+        runParallelCore(system, source, ParallelCoreOptions{});
+        FAIL() << "expected a deadlock fault";
+    } catch (const SimFault& fault) {
+        EXPECT_EQ(fault.kind(), SimFaultKind::Deadlock);
+        EXPECT_NE(fault.message().find("runParallelCore"),
+                  std::string::npos) << fault.message();
+        EXPECT_NE(fault.message().find("pe0 on block 64"),
+                  std::string::npos) << fault.message();
+        EXPECT_NE(fault.message().find("pe1 on block 0"),
+                  std::string::npos) << fault.message();
+    }
+    // The fault abandoned the parked waiters, so tearing the System
+    // down passes its parked-PE leak check.
+    EXPECT_TRUE(system.pendingWaiters().empty());
 }
 
 } // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sim_fault.h"
 #include "sim/system.h"
 #include "sim/trace_replay.h"
 #include "trace/synth.h"
@@ -208,7 +209,15 @@ TEST(TraceReplayDeath, UnreleasedLockIsFatal)
     trace.push_back({100, MemOp::LR, Area::Heap, 0});
     trace.push_back({100, MemOp::R, Area::Heap, 1}); // waits forever
     TraceReplay replay(sys, trace);
-    EXPECT_EXIT(replay.run(), ::testing::ExitedWithCode(1), "deadlock");
+    try {
+        replay.run();
+        FAIL() << "expected a deadlock fault";
+    } catch (const SimFault& fault) {
+        EXPECT_EQ(fault.kind(), SimFaultKind::Deadlock);
+        EXPECT_NE(fault.message().find("pe1 on block 100"),
+                  std::string::npos) << fault.message();
+    }
+    EXPECT_TRUE(sys.pendingWaiters().empty());
 }
 
 TEST(TraceReplayDeath, BadPeIsFatal)
