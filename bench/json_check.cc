@@ -77,8 +77,8 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
     }
     if (schema == "sweep-perf") {
         // pim_sweep's SWEEP.perf.json engine-throughput sidecar.
-        *out = {"jobs", "tasks", "wall_seconds", "task_seconds_sum",
-                "sims_per_sec", "speedup_vs_serial"};
+        *out = {"jobs", "tasks", "shared_rows", "wall_seconds",
+                "task_seconds_sum", "sims_per_sec", "speedup_vs_serial"};
         return true;
     }
     if (schema == "campaign") {

@@ -175,9 +175,10 @@ main(int argc, char** argv)
             std::printf("resumed: %zu rows restored from %s\n",
                         outcome.resumedRows, sweepCheckpointName());
         }
-        std::printf("tasks: %zu total, %zu completed, %zu failed rows\n",
+        std::printf("tasks: %zu total, %zu completed, %zu shared, "
+                    "%zu failed rows\n",
                     outcome.rows.size(), outcome.completedRows,
-                    outcome.failedRows);
+                    outcome.sharedRows, outcome.failedRows);
         for (const SweepRow& row : outcome.rows) {
             if (row.done && row.failed) {
                 std::printf("  FAILED task %zu (%s): %s: %s\n",

@@ -37,7 +37,11 @@ struct BenchResult {
 Kl1Config paperConfig(std::uint32_t num_pes = 8,
                       OptPolicy policy = OptPolicy::all());
 
-/** Run @p bench at @p scale on @p config and collect the metrics. */
+/**
+ * Run @p bench at @p scale on @p config and collect the metrics.
+ * @throws SimFault(Corruption) when the answer differs from the
+ * host-side mirror's, plus whatever Emulator::run throws.
+ */
 BenchResult runBenchmark(const BenchProgram& bench, std::uint32_t scale,
                          const Kl1Config& config);
 

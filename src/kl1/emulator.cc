@@ -226,8 +226,10 @@ Emulator::run(const std::string& query)
         std::max<std::int64_t>(floatingGoals_, 0));
     stats.gc = gcStats_;
     if (stats.deadlockedGoals > 0 && config_.failOnDeadlock) {
-        PIM_FATAL("program deadlock: ", stats.deadlockedGoals,
-                  " goal(s) remain suspended with no producer left");
+        throw PIM_SIM_FAULT(SimFaultKind::Deadlock, "program deadlock: ",
+                            stats.deadlockedGoals,
+                            " goal(s) remain suspended with no producer "
+                            "left");
     }
     if (stats.deadlockedGoals > 0) {
         PIM_WARN("program ended with " << stats.deadlockedGoals

@@ -49,7 +49,8 @@ struct Kl1Config {
     const CancelToken* cancel = nullptr;
     std::uint32_t donateThreshold = 2; ///< Min goals kept when donating.
     std::uint32_t idleSpinCycles = 16; ///< Clock advance per idle poll.
-    bool failOnDeadlock = true;     ///< Fatal when goals suspend forever.
+    bool failOnDeadlock = true;     ///< SimFault(Deadlock) when goals
+                                    ///< suspend forever.
     /**
      * Stop-and-copy heap GC: each PE's heap segment becomes two
      * semispaces and a global collection runs when a segment's active
@@ -84,7 +85,9 @@ class Emulator : public TermReader
     /**
      * Run a query goal, e.g. "main(12,R)". Blocks until the program
      * terminates (or deadlocks / exceeds maxSteps). Returns statistics.
-     * Throws SimFault(Deadlock) when every PE is parked on a lock.
+     * Throws SimFault(Deadlock) when every PE is parked on a lock, or
+     * when goals remain suspended with no producer and
+     * Kl1Config::failOnDeadlock is set.
      */
     RunStats run(const std::string& query);
 

@@ -6,12 +6,14 @@
 #include <cstring>
 #include <ctime>
 #include <filesystem>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "bench_kl1/programs.h"
 #include "bench_kl1/workload.h"
+#include "cache/config.h"
 #include "common/fs_util.h"
 #include "common/json.h"
 #include "common/sim_fault.h"
@@ -98,47 +100,36 @@ metricText(SweepRow& row, const std::string& name, std::string value)
     row.metrics.emplace_back(name, ParamValue::ofText(std::move(value)));
 }
 
+/** A numeric parameter of a resolved point (every one is present). */
+std::uint32_t
+resolvedU32(const SweepPoint& point, const std::string& name)
+{
+    return static_cast<std::uint32_t>(point.number(name, 0));
+}
+
 /** Run one KL1 benchmark point and fill the row's metrics. */
 void
 runKl1Task(SweepRow& row, double timeout_seconds)
 {
-    const SweepPoint& point = row.params;
+    const SweepPoint point = resolveKl1Point(row.params);
     const std::string bench_name = point.text("benchmark", "");
     if (bench_name.empty()) {
         throw PIM_SIM_FAULT(SimFaultKind::Config,
                             "sweep: kl1 task needs a 'benchmark' param");
     }
-    const std::uint32_t scale =
-        static_cast<std::uint32_t>(point.number("scale", 1));
-    const std::uint32_t pes =
-        static_cast<std::uint32_t>(point.number("pes", 8));
 
     kl1::Kl1Config config = bench::paperConfig(
-        pes, parsePolicy(point.text("policy", "All")));
-    const std::uint32_t block_words =
-        static_cast<std::uint32_t>(point.number("blockWords", 4));
-    const std::uint32_t ways =
-        static_cast<std::uint32_t>(point.number("ways", 4));
-    if (point.has("capacityWords")) {
-        config.cache.geometry = CacheGeometry::forCapacity(
-            static_cast<std::uint64_t>(point.number("capacityWords", 0)),
-            block_words, ways);
-    } else {
-        config.cache.geometry.blockWords = block_words;
-        config.cache.geometry.ways = ways;
-        config.cache.geometry.sets =
-            static_cast<std::uint32_t>(point.number("sets", 256));
-    }
-    config.cache.lockEntries =
-        static_cast<std::uint32_t>(point.number("lockEntries", 2));
-    config.timing.widthWords =
-        static_cast<std::uint32_t>(point.number("busWidthWords", 1));
-    config.cluster.clusterSize =
-        static_cast<std::uint32_t>(point.number("clusterSize", 0));
-    config.cluster.hopCycles =
-        static_cast<std::uint32_t>(point.number("hopCycles", 4));
-    config.enableGc = point.number("enableGc", 0) != 0;
+        resolvedU32(point, "pes"), parsePolicy(point.text("policy", "")));
+    config.cache.geometry.blockWords = resolvedU32(point, "blockWords");
+    config.cache.geometry.ways = resolvedU32(point, "ways");
+    config.cache.geometry.sets = resolvedU32(point, "sets");
+    config.cache.lockEntries = resolvedU32(point, "lockEntries");
+    config.timing.widthWords = resolvedU32(point, "busWidthWords");
+    config.cluster.clusterSize = resolvedU32(point, "clusterSize");
+    config.cluster.hopCycles = resolvedU32(point, "hopCycles");
+    config.enableGc = resolvedU32(point, "enableGc") != 0;
     config.timeoutSeconds = timeout_seconds;
+    const std::uint32_t scale = resolvedU32(point, "scale");
 
     const bench::BenchResult result = bench::runBenchmark(
         bench::benchmarkByName(bench_name), scale, config);
@@ -501,6 +492,43 @@ loadCheckpoint(const std::string& path, const std::string& hash,
 
 } // namespace
 
+SweepPoint
+resolveKl1Point(const SweepPoint& point)
+{
+    const auto u32 = [&point](const char* name, double fallback) {
+        return static_cast<std::uint32_t>(point.number(name, fallback));
+    };
+    const std::uint32_t block_words = u32("blockWords", 4);
+    const std::uint32_t ways = u32("ways", 4);
+    const std::uint32_t sets =
+        point.has("capacityWords")
+            ? CacheGeometry::forCapacity(
+                  static_cast<std::uint64_t>(
+                      point.number("capacityWords", 0)),
+                  block_words, ways)
+                  .sets
+            : u32("sets", 256);
+
+    SweepPoint resolved;
+    const auto number = [&resolved](const char* name, double value) {
+        resolved.set(name, ParamValue::ofNumber(value));
+    };
+    resolved.set("benchmark",
+                 ParamValue::ofText(point.text("benchmark", "")));
+    number("scale", u32("scale", 1));
+    number("pes", u32("pes", 8));
+    resolved.set("policy", ParamValue::ofText(point.text("policy", "All")));
+    number("blockWords", block_words);
+    number("ways", ways);
+    number("sets", sets);
+    number("lockEntries", u32("lockEntries", 2));
+    number("busWidthWords", u32("busWidthWords", 1));
+    number("clusterSize", u32("clusterSize", 0));
+    number("hopCycles", u32("hopCycles", 4));
+    number("enableGc", point.number("enableGc", 0) != 0 ? 1 : 0);
+    return resolved;
+}
+
 std::uint32_t
 retryBackoffMs(const RetryPolicy& policy, std::uint32_t retry_index)
 {
@@ -588,9 +616,9 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
         outcome.resumedRows = loadCheckpoint(ckpt_path, config_hash,
                                              &outcome);
 
-    // Pending tasks in index order; --max-tasks caps how many this
-    // invocation runs (the deterministic "interrupt" used by the
-    // resume ctest).
+    // Pending rows in index order; --max-tasks caps how many this
+    // invocation completes (the deterministic "interrupt" used by the
+    // resume ctest), before any sharing below.
     std::vector<SweepRow*> pending;
     for (SweepRow& row : outcome.rows) {
         if (!row.done)
@@ -598,6 +626,40 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
     }
     if (options.maxTasks != 0 && pending.size() > options.maxTasks)
         pending.resize(options.maxTasks);
+
+    // One run per distinct simulation: KL1 rows with the same resolved
+    // point form a group whose leader (group[0]) is a restored row or
+    // else the lowest-index pending one. Stress rows, whose seeds come
+    // from their task index, and points that do not resolve (they fail
+    // on their own) are groups of one.
+    const auto share_key = [&spec](const SweepRow& row) -> std::string {
+        if (spec.experiments[row.experiment].kind != TaskKind::Kl1)
+            return "";
+        try {
+            return resolveKl1Point(row.params).toString();
+        } catch (const SimFault&) {
+            return "";
+        }
+    };
+    std::vector<std::vector<SweepRow*>> groups;
+    std::map<std::string, std::size_t> group_of_key;
+    for (SweepRow& row : outcome.rows) {
+        const std::string key = row.done ? share_key(row) : "";
+        if (!key.empty() && group_of_key.emplace(key, groups.size()).second)
+            groups.push_back({&row});
+    }
+    for (SweepRow* row : pending) {
+        const std::string key = share_key(*row);
+        if (!key.empty()) {
+            const auto [it, fresh] =
+                group_of_key.emplace(key, groups.size());
+            if (!fresh) {
+                groups[it->second].push_back(row);
+                continue;
+            }
+        }
+        groups.push_back({row});
+    }
 
     // Checkpoint plumbing: done flags flip only under the mutex, so the
     // serializer (also under it) never reads a half-filled row.
@@ -614,17 +676,36 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
                          error.c_str());
         }
     };
+    // Followers copy the leader's result (seconds and attempts stay 0).
+    const auto share_locked = [&outcome](const std::vector<SweepRow*>& group) {
+        const SweepRow& leader = *group.front();
+        for (std::size_t i = 1; i < group.size(); ++i) {
+            SweepRow& follower = *group[i];
+            follower.metrics = leader.metrics;
+            follower.failed = leader.failed;
+            follower.faultKind = leader.faultKind;
+            follower.message = leader.message;
+            follower.done = true;
+        }
+        outcome.sharedRows += group.size() - 1;
+    };
 
     const Clock::time_point wall_start = Clock::now();
     {
         ThreadPool pool(outcome.jobs);
-        for (SweepRow* row_ptr : pending) {
-            SweepRow& row = *row_ptr;
+        for (const std::vector<SweepRow*>& group : groups) {
+            SweepRow& row = *group.front();
+            if (row.done) {
+                std::lock_guard<std::mutex> lock(done_mutex);
+                share_locked(group);
+                continue;
+            }
             const TaskKind kind = spec.experiments[row.experiment].kind;
             const std::uint64_t derived_seed =
                 deriveSeed(spec.seed, row.taskIndex);
-            pool.submit([&row, &options, &done_mutex, &completed_this_run,
-                         &write_checkpoint_locked, kind, derived_seed] {
+            pool.submit([&group, &row, &options, &done_mutex,
+                         &completed_this_run, &write_checkpoint_locked,
+                         &share_locked, kind, derived_seed] {
                 RetryAccounting accounting;
                 runWithRetry(
                     options.retry,
@@ -671,9 +752,12 @@ runSweep(const SweepSpec& spec, const SweepOptions& options)
 
                 std::lock_guard<std::mutex> lock(done_mutex);
                 row.done = true;
-                ++completed_this_run;
+                share_locked(group);
+                const std::size_t before = completed_this_run;
+                completed_this_run += group.size();
                 if (options.checkpointEvery != 0 &&
-                    completed_this_run % options.checkpointEvery == 0)
+                    before / options.checkpointEvery !=
+                        completed_this_run / options.checkpointEvery)
                     write_checkpoint_locked();
             });
         }
@@ -730,6 +814,9 @@ renderPerfJson(const SweepOutcome& outcome)
                static_cast<std::uint64_t>(outcome.completedRows));
     json.field("resumed_rows",
                static_cast<std::uint64_t>(outcome.resumedRows));
+    // Rows that copied a twin's run; they add rows, not CPU seconds.
+    json.field("shared_rows",
+               static_cast<std::uint64_t>(outcome.sharedRows));
     json.field("wall_seconds", outcome.wallSeconds);
     json.field("task_seconds_sum", outcome.taskSecondsSum);
     json.field("sims_per_sec",

@@ -35,12 +35,14 @@ struct SweepRow {
     bool failed = false;        ///< Task threw / detected a SimFault.
     std::string faultKind;      ///< simFaultKindName when failed.
     std::string message;        ///< Fault message when failed.
-    double seconds = 0;         ///< Thread CPU time (perf only, not in SWEEP).
+    double seconds = 0;         ///< Thread CPU time (perf only, not in SWEEP);
+                                ///< 0 when the row shared another's run.
     // Execution bookkeeping (perf sidecar / checkpoint only — never in
     // SWEEP.json, which must be byte-identical for any retry history).
     bool done = false;          ///< The slot holds a final result.
     bool resumed = false;       ///< Result restored from SWEEP.ckpt.json.
-    std::uint32_t attempts = 0; ///< Executions of the task (>= 1 when run).
+    std::uint32_t attempts = 0; ///< Executions of the task (>= 1 when run,
+                                ///< 0 when the row shared another's run).
     /** Fault kind of each failed-then-retried attempt, in order. */
     std::vector<std::string> retriedKinds;
 };
@@ -122,6 +124,8 @@ struct SweepOutcome {
     std::size_t completedRows = 0; ///< Slots holding final results.
     std::size_t resumedRows = 0;   ///< Restored from the checkpoint.
     std::size_t retriedRows = 0;   ///< Rows that needed > 1 attempt.
+    std::size_t sharedRows = 0;    ///< Rows that copied a twin's run
+                                   ///< (same resolved KL1 point).
     bool complete = false;      ///< Every slot is done (SWEEP.json valid).
     double wallSeconds = 0;     ///< Whole-grid wall time.
     double taskSecondsSum = 0;  ///< Serial-time estimate (sum of per-task
@@ -131,7 +135,23 @@ struct SweepOutcome {
     std::string sweepJson;      ///< Rendered SWEEP document ("" if partial).
 };
 
-/** Expand @p spec and run every task on @p options.jobs workers. */
+/**
+ * Every parameter a KL1 task reads, with its default filled in:
+ * benchmark, scale, pes, policy, blockWords, ways, sets, lockEntries,
+ * busWidthWords, clusterSize, hopCycles and enableGc (0/1), in that
+ * order. A `capacityWords` point is solved to its `sets` count. The
+ * task builds its config from this point alone, so two points with the
+ * same rendering (toString) run the same simulation.
+ * @throws SimFault(Config) when a numeric parameter holds text.
+ */
+SweepPoint resolveKl1Point(const SweepPoint& point);
+
+/**
+ * Expand @p spec and run every task on @p options.jobs workers. KL1
+ * rows whose resolved points (resolveKl1Point) match run once: the
+ * lowest-index row (or a row restored from the checkpoint) runs, and
+ * every twin copies its metrics or its fault. Stress rows never share.
+ */
 SweepOutcome runSweep(const SweepSpec& spec, const SweepOptions& options);
 
 /**

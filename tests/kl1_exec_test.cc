@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sim_fault.h"
 #include "kl1_test_util.h"
 
 namespace pim::kl1 {
@@ -252,11 +253,23 @@ TEST(Kl1ExecDeath, UnificationFailureIsFatal)
 
 TEST(Kl1ExecDeath, DeadlockDetected)
 {
-    // X is never produced: the goal suspends forever.
-    EXPECT_EXIT(run("main(R) :- true | echo(X, R).\n"
+    // X is never produced: the goal suspends forever. The run ends in a
+    // classified fault the sweep can record, not a process exit.
+    EXPECT_THROW(
+        {
+            try {
+                run("main(R) :- true | echo(X, R).\n"
                     "echo(X, R) :- wait(X) | R = X.\n",
-                    "main(R)."),
-                ::testing::ExitedWithCode(1), "deadlock");
+                    "main(R).");
+            } catch (const SimFault& fault) {
+                EXPECT_EQ(fault.kind(), SimFaultKind::Deadlock);
+                EXPECT_NE(fault.message().find("suspended"),
+                          std::string::npos)
+                    << fault.message();
+                throw;
+            }
+        },
+        SimFault);
 }
 
 TEST(Kl1Exec, DeadlockToleratedWhenConfigured)

@@ -1,12 +1,13 @@
 /**
  * @file
  * Sweep engine tests (ctest label `sweep`): grid expansion order, spec
- * parsing, cross---jobs byte-identity of the SWEEP document, and
+ * parsing, cross---jobs byte-identity of the SWEEP document,
  * SimFault-throwing tasks landing as failed rows without tearing the
- * pool down.
+ * pool down, and rows with the same resolved KL1 point sharing one run.
  */
 
 #include <cstdint>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -287,6 +288,226 @@ TEST(SweepRunnerTest, ScaleOverrideAppliesToKl1Tasks)
     // fingerprints must differ.
     EXPECT_NE(a.fingerprint, b.fingerprint);
     EXPECT_EQ(b.rows[0].params.number("scale", 0), 2);
+}
+
+// ---------------------------------------------------------- sharing --
+
+/** A one-point KL1 experiment: Tri, scale 1, 2 PEs, overridden by @p base. */
+SweepExperiment
+kl1Point(const std::string& id, SweepPoint base)
+{
+    SweepExperiment exp;
+    exp.id = id;
+    exp.kind = TaskKind::Kl1;
+    exp.base.set("benchmark", ParamValue::ofText("Tri"));
+    exp.base.set("scale", ParamValue::ofNumber(1));
+    exp.base.set("pes", ParamValue::ofNumber(2));
+    for (const auto& [name, value] : base.params)
+        exp.base.set(name, value);
+    return exp;
+}
+
+SweepPoint
+pointOf(std::vector<std::pair<std::string, double>> numbers)
+{
+    SweepPoint point;
+    for (const auto& [name, value] : numbers)
+        point.set(name, ParamValue::ofNumber(value));
+    return point;
+}
+
+/**
+ * Rows 0/1 (Tri, Pascal on defaults) have twins in rows 2/3, which
+ * spell the same machine out (policy All, 256 sets); rows 4/5 are
+ * stress seeds.
+ */
+SweepSpec
+twinSpec()
+{
+    SweepSpec spec;
+    spec.name = "twins";
+    spec.seed = 3;
+
+    SweepExperiment defaults;
+    defaults.id = "defaults";
+    defaults.base.set("scale", ParamValue::ofNumber(1));
+    defaults.base.set("pes", ParamValue::ofNumber(2));
+    defaults.axes.push_back({"benchmark", {ParamValue::ofText("Tri"),
+                                           ParamValue::ofText("Pascal")}});
+    spec.experiments.push_back(defaults);
+
+    SweepExperiment spelled = defaults;
+    spelled.id = "spelled_out";
+    spelled.base.set("policy", ParamValue::ofText("All"));
+    spelled.base.set("sets", ParamValue::ofNumber(256));
+    spec.experiments.push_back(spelled);
+
+    SweepExperiment st;
+    st.id = "stress_pair";
+    st.kind = TaskKind::Stress;
+    st.seeds = 2;
+    st.base.set("steps", ParamValue::ofNumber(2000));
+    st.base.set("pes", ParamValue::ofNumber(4));
+    spec.experiments.push_back(st);
+    return spec;
+}
+
+TEST(SweepSharingTest, ResolvedPointFillsEveryDefault)
+{
+    EXPECT_EQ(resolveKl1Point(SweepPoint{}).toString(),
+              "benchmark= scale=1 pes=8 policy=All blockWords=4 ways=4 "
+              "sets=256 lockEntries=2 busWidthWords=1 clusterSize=0 "
+              "hopCycles=4 enableGc=0");
+    EXPECT_EQ(resolveKl1Point(pointOf({{"capacityWords", 4096}})).toString(),
+              resolveKl1Point(pointOf({{"sets", 256}})).toString());
+    EXPECT_EQ(resolveKl1Point(pointOf({{"capacityWords", 1024},
+                                       {"blockWords", 8}}))
+                  .number("sets", 0),
+              32);
+    EXPECT_NE(resolveKl1Point(pointOf({{"enableGc", 1}})).toString(),
+              resolveKl1Point(SweepPoint{}).toString());
+    SweepPoint text_pes;
+    text_pes.set("pes", ParamValue::ofText("eight"));
+    EXPECT_THROW(resolveKl1Point(text_pes), SimFault);
+}
+
+TEST(SweepSharingTest, TwinPointsRunOnceAndMatchTheirOwnRuns)
+{
+    SweepOptions options;
+    options.jobs = 2;
+    const SweepOutcome outcome = runSweep(twinSpec(), options);
+    ASSERT_EQ(outcome.rows.size(), 6u);
+    EXPECT_EQ(outcome.failedRows, 0u);
+    EXPECT_EQ(outcome.sharedRows, 2u);
+    for (std::size_t leader : {0u, 1u, 4u, 5u}) {
+        EXPECT_EQ(outcome.rows[leader].attempts, 1u) << leader;
+        EXPECT_GT(outcome.rows[leader].seconds, 0) << leader;
+    }
+    for (std::size_t follower : {2u, 3u}) {
+        const SweepRow& row = outcome.rows[follower];
+        EXPECT_EQ(row.attempts, 0u);
+        EXPECT_EQ(row.seconds, 0);
+        EXPECT_TRUE(row.done);
+
+        // The copy equals a run of the row's own point on its own.
+        SweepSpec alone;
+        alone.experiments.push_back(kl1Point("alone", row.params));
+        const SweepOutcome own = runSweep(alone, SweepOptions{});
+        ASSERT_EQ(own.rows.size(), 1u);
+        EXPECT_EQ(own.sharedRows, 0u);
+        ASSERT_EQ(own.rows[0].metrics.size(), row.metrics.size());
+        for (std::size_t m = 0; m < row.metrics.size(); ++m) {
+            EXPECT_EQ(own.rows[0].metrics[m].first, row.metrics[m].first);
+            EXPECT_EQ(own.rows[0].metrics[m].second.toString(),
+                      row.metrics[m].second.toString());
+        }
+    }
+    EXPECT_NE(renderPerfJson(outcome).find("\"shared_rows\": 2"),
+              std::string::npos);
+}
+
+TEST(SweepSharingTest, OnlyTheSameResolvedPointShares)
+{
+    SweepSpec spec;
+    spec.name = "keys";
+    spec.experiments.push_back(
+        kl1Point("capacity", pointOf({{"capacityWords", 4096}})));
+    spec.experiments.push_back(kl1Point("sets", pointOf({{"sets", 256}})));
+    spec.experiments.push_back(kl1Point(
+        "gc", pointOf({{"sets", 256}, {"enableGc", 1}})));
+    spec.experiments.push_back(kl1Point(
+        "hop4", pointOf({{"clusterSize", 1}, {"hopCycles", 4}})));
+    spec.experiments.push_back(kl1Point(
+        "hop8", pointOf({{"clusterSize", 1}, {"hopCycles", 8}})));
+    // Points that do not resolve each fail on their own.
+    for (const char* id : {"text_pes_a", "text_pes_b"}) {
+        SweepPoint text_pes;
+        text_pes.set("pes", ParamValue::ofText("eight"));
+        spec.experiments.push_back(kl1Point(id, text_pes));
+    }
+
+    const SweepOutcome outcome = runSweep(spec, SweepOptions{});
+    ASSERT_EQ(outcome.rows.size(), 7u);
+    EXPECT_EQ(outcome.sharedRows, 1u);
+    EXPECT_EQ(outcome.rows[1].attempts, 0u) << "sets=256 is 4 Kwords";
+    for (std::size_t own : {0u, 2u, 3u, 4u, 5u, 6u})
+        EXPECT_EQ(outcome.rows[own].attempts, 1u) << own;
+    EXPECT_EQ(outcome.failedRows, 2u);
+    EXPECT_EQ(outcome.rows[5].faultKind, "config");
+    EXPECT_EQ(outcome.rows[6].faultKind, "config");
+}
+
+TEST(SweepSharingTest, StressRowsNeverShare)
+{
+    // Identical stress points, explicit seed included: still two runs.
+    SweepSpec spec;
+    spec.name = "stress_twins";
+    for (const char* id : {"a", "b"}) {
+        SweepExperiment st;
+        st.id = id;
+        st.kind = TaskKind::Stress;
+        st.base = pointOf({{"seed", 5}, {"steps", 2000}, {"pes", 4}});
+        spec.experiments.push_back(st);
+    }
+    const SweepOutcome outcome = runSweep(spec, SweepOptions{});
+    ASSERT_EQ(outcome.rows.size(), 2u);
+    EXPECT_EQ(outcome.sharedRows, 0u);
+    EXPECT_EQ(outcome.rows[0].attempts, 1u);
+    EXPECT_EQ(outcome.rows[1].attempts, 1u);
+}
+
+TEST(SweepSharingTest, AFailedLeaderSharesItsFailure)
+{
+    SweepOptions options;
+    options.jobs = 2;
+    options.timeoutSeconds = 1e-9;
+    options.retry.retries = 0;
+    const SweepOutcome outcome = runSweep(twinSpec(), options);
+    ASSERT_EQ(outcome.rows.size(), 6u);
+    EXPECT_EQ(outcome.sharedRows, 2u);
+    for (std::size_t kl1 : {0u, 1u, 2u, 3u}) {
+        const SweepRow& row = outcome.rows[kl1];
+        EXPECT_TRUE(row.failed) << kl1;
+        EXPECT_EQ(row.faultKind, "timeout") << kl1;
+        EXPECT_FALSE(row.message.empty()) << kl1;
+    }
+    EXPECT_EQ(outcome.rows[2].message, outcome.rows[0].message);
+    EXPECT_EQ(outcome.rows[2].attempts, 0u);
+}
+
+TEST(SweepSharingTest, SharingKeepsTheDocumentByteIdentical)
+{
+    SweepOptions serial;
+    serial.jobs = 1;
+    SweepOptions wide;
+    wide.jobs = 4;
+    const SweepOutcome a = runSweep(twinSpec(), serial);
+    const SweepOutcome b = runSweep(twinSpec(), wide);
+    EXPECT_EQ(a.sweepJson, b.sweepJson);
+
+    // --max-tasks=3 runs rows 0-2: row 0's group completes, row 1's
+    // twin (row 3) is left for the resume, which copies it from the
+    // restored row 1 without running it.
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(::testing::TempDir()) / "sharing_resume";
+    fs::remove_all(dir);
+    SweepOptions sliced = wide;
+    sliced.outDir = dir.string();
+    sliced.maxTasks = 3;
+    const SweepOutcome first = runSweep(twinSpec(), sliced);
+    EXPECT_FALSE(first.complete);
+    EXPECT_EQ(first.completedRows, 3u);
+    EXPECT_EQ(first.sharedRows, 1u);
+
+    sliced.maxTasks = 0;
+    sliced.resume = true;
+    const SweepOutcome second = runSweep(twinSpec(), sliced);
+    ASSERT_TRUE(second.complete);
+    EXPECT_EQ(second.resumedRows, 3u);
+    EXPECT_EQ(second.sharedRows, 1u);
+    EXPECT_EQ(second.rows[3].attempts, 0u);
+    EXPECT_EQ(second.sweepJson, a.sweepJson);
+    fs::remove_all(dir);
 }
 
 } // namespace
