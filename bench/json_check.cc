@@ -144,20 +144,18 @@ schemaPaths(const std::string& schema, std::vector<std::string>* out)
         return true;
     }
     if (schema == "perf") {
-        // pim_perf's BENCH_perf.json throughput report (snoop-filter
-        // A/B rows).
+        // pim_perf's BENCH_perf.json throughput report (one row per PE
+        // point).
         *out = {"name",
                 "scale",
                 "pes",
                 "rows.0.bench",
                 "rows.0.pes_point",
-                "rows.0.mode",
                 "rows.0.refs",
                 "rows.0.refs_per_sec",
                 "rows.0.cycles_per_ref",
                 "rows.0.bus_transactions",
                 "rows.0.fingerprint",
-                "rows.0.speedup_vs_unfiltered",
                 "rows.0.cluster_size",
                 "rows.0.hop_cycles",
                 "rows.0.inter_cluster_cycles"};

@@ -23,6 +23,9 @@
  * ctest suite proves the engine catches every mutation — and prints the
  * shrunk reproducer it found. --max-shrunk=N additionally fails if the
  * reproducer needs more than N commands.
+ *
+ * Unknown options exit 1: a mistyped or retired flag must not silently
+ * run a different check.
  */
 
 #include <cstdio>
@@ -50,7 +53,6 @@ harnessFromOptions(const Options& opt)
     config.sets = static_cast<std::uint32_t>(opt.getInt("sets", 1));
     config.lockEntries =
         static_cast<std::uint32_t>(opt.getInt("lock-entries", 2));
-    config.snoopFilter = !opt.getBool("no-snoop-filter");
     config.clusterSize =
         static_cast<std::uint32_t>(opt.getInt("cluster-size", 0));
     config.hopCycles =
@@ -125,6 +127,17 @@ int
 main(int argc, char** argv)
 {
     const Options opt = Options::parse(argc, argv);
+    const std::string unknown = opt.unknownOption(
+        {"pes", "blocks", "block-words", "ways", "sets", "lock-entries",
+         "cluster-size", "hop-cycles", "mutate", "protocol", "replacement",
+         "list-mutations", "list-protocols", "replay", "fuzz", "seed",
+         "traces", "len", "no-shrink", "depth", "max-states",
+         "expect-divergence", "max-shrunk"});
+    if (!unknown.empty()) {
+        std::fprintf(stderr, "pim_conform: unknown option --%s\n",
+                     unknown.c_str());
+        return 1;
+    }
 
     if (opt.getBool("list-mutations")) {
         for (int i = 1; i < kNumProtocolMutations; ++i) {

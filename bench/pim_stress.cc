@@ -52,8 +52,6 @@ usage()
         "                      as JSON (schema `attribution`, always;\n"
         "                      docs/OBSERVABILITY.md)\n"
         "  --no-audit          detach the coherence auditor\n"
-        "  --no-snoop-filter   disable the exact bus-side snoop filter\n"
-        "                      (identical outcomes; docs/PERFORMANCE.md)\n"
         "  --cluster-size=N    PEs per snooping-bus cluster (0 = single\n"
         "                      bus; docs/ARCHITECTURE.md)\n"
         "  --hop-cycles=N      one-way inter-cluster hop cost (default 4)\n"
@@ -87,7 +85,7 @@ main(int argc, char** argv)
         "plan",       "trace-out",  "timeline-out", "attribution-out",
         "no-audit",   "expect-fault",
         "replay",     "help",       "starvation-bound", "livelock-retries",
-        "seeds",      "jobs",       "no-snoop-filter", "timeout",
+        "seeds",      "jobs",       "timeout",
         "cluster-size", "hop-cycles",
     });
     if (!unknown.empty()) {
@@ -121,7 +119,6 @@ main(int argc, char** argv)
         config.timelineOut = opts.getString("timeline-out", "");
         config.attributionOut = opts.getString("attribution-out", "");
         config.audit = !opts.getBool("no-audit");
-        config.snoopFilter = !opts.getBool("no-snoop-filter");
         config.clusterSize =
             static_cast<std::uint32_t>(opts.getInt("cluster-size", 0));
         config.hopCycles =

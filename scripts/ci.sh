@@ -24,9 +24,9 @@ run_leg() {
     (cd "${dir}" && ctest --output-on-failure -j "${JOBS}" ${CTEST_ARGS})
 }
 
-# Snoop-filter throughput smoke (docs/PERFORMANCE.md): checks the
-# filter-on/off exactness invariants and the BENCH_perf.json schema.
-# Ratios are not asserted — CI wall-clock is noise.
+# Simulator throughput smoke (docs/PERFORMANCE.md): checks that every
+# PE point runs and the BENCH_perf.json schema. Throughput is not
+# asserted — CI wall-clock is noise.
 perf_smoke() {
     local dir="build-release"
     echo "=== perf smoke (${dir}) ==="

@@ -24,16 +24,11 @@ Bus::Bus(const BusTiming& timing, PagedStore& memory,
 void
 Bus::attach(PeId pe, BusSnooper* cache, LockSnooper* locks)
 {
-    PIM_ASSERT(portOf(pe) == nullptr, "pe", pe, " attached twice");
-    // The filtered walk visits PEs in ascending id order; it may only
-    // replace the legacy walk (attach order) when the two orders agree,
-    // which every real System guarantees by constructing PE 0..N-1.
-    if (!ports_.empty() && pe < ports_.back().pe)
-        residency_.markInexact();
-    ports_.push_back({pe, cache, locks});
-    if (portIndexByPe_.size() <= pe)
-        portIndexByPe_.resize(pe + 1, -1);
-    portIndexByPe_[pe] = static_cast<std::int32_t>(ports_.size() - 1);
+    // Ports are indexed by PE id, and the residency masks walk holders
+    // in ascending PE order: PEs attach exactly once, as 0..N-1.
+    PIM_ASSERT(pe == ports_.size(), "pe", pe, " attached out of order (",
+               ports_.size(), " ports attached)");
+    ports_.push_back({cache, locks});
     residency_.registerPe(pe);
     clusters_.registerPe(pe);
 }
@@ -94,28 +89,15 @@ Bus::release(const Route& route, Cycles until)
 bool
 Bus::lockCheck(PeId requester, Addr block_addr, Cycles when)
 {
+    // Only directories with an entry in the block can answer LH or need
+    // the LCK -> LWAIT transition; all others are no-ops. Every holder
+    // snoops (each may move LCK -> LWAIT), so do not short-circuit.
     bool lock_hit = false;
-    if (filterActive()) {
-        // Only directories with an entry in the block can answer LH or
-        // need the LCK -> LWAIT transition; all others are no-ops.
-        residency_.forEachLockHolder(
-            block_addr, requester, [&](PeId pe) {
-                const Port* port = portOf(pe);
-                if (port->locks->snoopLockCheck(block_addr,
-                                                timing_.blockWords, when))
-                    lock_hit = true;
-            });
-        return lock_hit;
-    }
-    for (const Port& port : ports_) {
-        if (port.pe == requester || port.locks == nullptr)
-            continue;
-        // All remote directories snoop (each may move LCK -> LWAIT), so
-        // do not short-circuit.
-        if (port.locks->snoopLockCheck(block_addr, timing_.blockWords,
-                                       when))
+    residency_.forEachLockHolder(block_addr, requester, [&](PeId pe) {
+        if (ports_[pe].locks->snoopLockCheck(block_addr, timing_.blockWords,
+                                             when))
             lock_hit = true;
-    }
+    });
     return lock_hit;
 }
 
@@ -180,70 +162,45 @@ Bus::fetch(PeId requester, Addr block_addr, bool invalidate, bool with_lock,
     // Injected fault: an unrequested invalidation races ahead of the
     // fetch, silently nuking every remote copy (dirty data is lost).
     if (injector_ != nullptr && injector_->fire(FaultSite::SpuriousInv)) {
-        for (const Port& port : ports_) {
-            if (port.pe != requester && port.cache != nullptr)
-                port.cache->snoopInvalidate(block_addr, start);
-        }
+        residency_.forEachCopyHolder(block_addr, requester, [&](PeId pe) {
+            ports_[pe].cache->snoopInvalidate(block_addr, start);
+        });
     }
 
-    // Snoop the caches; the first holder supplies the data (H response).
-    if (filterActive()) {
-        // Only actual copy-holders are snooped (filter exactness: a PE
-        // outside the mask would reply {absent} and change no state).
-        // Bit order equals port order, so the same holder supplies.
-        residency_.forEachCopyHolder(
-            block_addr, requester, [&](PeId pe) {
-                const Port* port = portOf(pe);
-                if (!result.supplied) {
-                    const BusSnooper::FetchReply reply =
-                        port->cache->snoopFetch(block_addr, invalidate,
-                                                data_out, start);
-                    if (reply.present) {
-                        result.supplied = true;
-                        result.supplierDirty = reply.dirty;
-                    }
-                } else if (invalidate) {
-                    if (port->cache->snoopInvalidate(block_addr, start))
-                        result.supplierDirty = true;
-                }
-                // For plain F, non-supplier sharers keep their copies.
-            });
-    } else {
-        for (const Port& port : ports_) {
-            if (port.pe == requester || port.cache == nullptr)
-                continue;
-            if (!result.supplied) {
-                // Injected fault: this cache's snoop reply is lost — it
-                // never sees the command, so its copy neither supplies
-                // nor degrades.
-                if (injector_ != nullptr &&
-                    injector_->fire(FaultSite::DropSnoop)) {
-                    continue;
-                }
-                BusSnooper::FetchReply reply = port.cache->snoopFetch(
-                    block_addr, invalidate, data_out, start);
-                if (reply.present && injector_ != nullptr &&
-                    injector_->fire(FaultSite::DupSnoop)) {
-                    // Injected fault: the snoop is delivered twice; the
-                    // second reply (now from a downgraded copy) wins, so
-                    // a dirty bit can silently vanish.
-                    reply = port.cache->snoopFetch(block_addr, invalidate,
-                                                   data_out, start);
-                }
-                if (reply.present) {
-                    result.supplied = true;
-                    result.supplierDirty = reply.dirty;
-                }
-            } else if (invalidate) {
-                // A non-supplier copy may be the dirty (SM) owner; its
-                // dirtiness migrates to the requester rather than
-                // vanishing.
-                if (port.cache->snoopInvalidate(block_addr, start))
-                    result.supplierDirty = true;
+    // Snoop the copy holders in ascending PE order; the first one that
+    // answers supplies the data (H response). The masks are exact, so a
+    // PE outside them would reply {absent} and change no state.
+    residency_.forEachCopyHolder(block_addr, requester, [&](PeId pe) {
+        BusSnooper* cache = ports_[pe].cache;
+        if (!result.supplied) {
+            // Injected fault: this holder's snoop reply is lost — it
+            // never sees the command, so its copy neither supplies nor
+            // degrades.
+            if (injector_ != nullptr &&
+                injector_->fire(FaultSite::DropSnoop))
+                return;
+            BusSnooper::FetchReply reply =
+                cache->snoopFetch(block_addr, invalidate, data_out, start);
+            if (reply.present && injector_ != nullptr &&
+                injector_->fire(FaultSite::DupSnoop)) {
+                // Injected fault: the snoop is delivered twice; the
+                // second reply (now from a downgraded copy) wins, so a
+                // dirty bit can silently vanish.
+                reply = cache->snoopFetch(block_addr, invalidate, data_out,
+                                          start);
             }
-            // For plain F, non-supplier sharers keep their copies.
+            if (reply.present) {
+                result.supplied = true;
+                result.supplierDirty = reply.dirty;
+            }
+        } else if (invalidate) {
+            // A non-supplier copy may be the dirty (SM) owner; its
+            // dirtiness migrates to the requester rather than vanishing.
+            if (cache->snoopInvalidate(block_addr, start))
+                result.supplierDirty = true;
         }
-    }
+        // For plain F, non-supplier sharers keep their copies.
+    });
 
     Cycles cost = 0;
     BusPattern pattern;
@@ -335,21 +292,10 @@ Bus::invalidate(PeId requester, Addr block_addr, bool with_lock,
         }
     }
 
-    if (filterActive()) {
-        residency_.forEachCopyHolder(
-            block_addr, requester, [&](PeId pe) {
-                const Port* port = portOf(pe);
-                if (port->cache->snoopInvalidate(block_addr, start))
-                    result.droppedDirty = true;
-            });
-    } else {
-        for (const Port& port : ports_) {
-            if (port.pe == requester || port.cache == nullptr)
-                continue;
-            if (port.cache->snoopInvalidate(block_addr, start))
-                result.droppedDirty = true;
-        }
-    }
+    residency_.forEachCopyHolder(block_addr, requester, [&](PeId pe) {
+        if (ports_[pe].cache->snoopInvalidate(block_addr, start))
+            result.droppedDirty = true;
+    });
     const Cycles cost = timing_.invalidateCycles();
     stats_.account(BusPattern::Invalidate, cost, area, requester,
                    route.hop);
@@ -497,18 +443,9 @@ Bus::writeWordThrough(PeId requester, Addr word_addr, Word value,
     setPurgeMark(block_addr, false);
     stats_.memoryBusyCycles += timing_.memAccessCycles;
     stats_.memoryWrites += 1;
-    if (filterActive()) {
-        residency_.forEachCopyHolder(
-            block_addr, requester, [&](PeId pe) {
-                portOf(pe)->cache->snoopInvalidate(block_addr, start);
-            });
-    } else {
-        for (const Port& port : ports_) {
-            if (port.pe == requester || port.cache == nullptr)
-                continue;
-            port.cache->snoopInvalidate(block_addr, start);
-        }
-    }
+    residency_.forEachCopyHolder(block_addr, requester, [&](PeId pe) {
+        ports_[pe].cache->snoopInvalidate(block_addr, start);
+    });
     const Cycles cost = timing_.wordWriteCycles();
     stats_.account(BusPattern::WordWrite, cost, area, requester, route.hop);
     release(route, start + cost + route.hop);
@@ -537,20 +474,10 @@ Bus::updateWord(PeId requester, Addr word_addr, Word value, Cycles when,
     const Route route = routeFor(requester, block_addr, true, false);
     const Cycles start = arbitrate(route, when);
     UpdateResult result;
-    if (filterActive()) {
-        residency_.forEachCopyHolder(
-            block_addr, requester, [&](PeId pe) {
-                if (portOf(pe)->cache->snoopUpdate(word_addr, value, start))
-                    result.sharerPresent = true;
-            });
-    } else {
-        for (const Port& port : ports_) {
-            if (port.pe == requester || port.cache == nullptr)
-                continue;
-            if (port.cache->snoopUpdate(word_addr, value, start))
-                result.sharerPresent = true;
-        }
-    }
+    residency_.forEachCopyHolder(block_addr, requester, [&](PeId pe) {
+        if (ports_[pe].cache->snoopUpdate(word_addr, value, start))
+            result.sharerPresent = true;
+    });
     const Cycles cost = timing_.wordUpdateCycles();
     stats_.account(BusPattern::WordUpdate, cost, area, requester, route.hop);
     release(route, start + cost + route.hop);

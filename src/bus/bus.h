@@ -200,8 +200,9 @@ class Bus
         const ClusterConfig& cluster = ClusterConfig{});
 
     /**
-     * Attach one PE's cache and lock directory snoopers. Each PE may be
-     * attached at most once; the PE id doubles as the port's bit in the
+     * Attach one PE's cache and lock directory snoopers. PEs attach
+     * exactly once each, in order 0..N-1 (System constructs them so);
+     * the PE id is both the port index and the port's bit in the
      * residency filter masks.
      */
     void attach(PeId pe, BusSnooper* cache, LockSnooper* locks);
@@ -323,15 +324,9 @@ class Bus
     void writeMemoryBlock(Addr block_addr, const Word* data);
 
     // -- Residency filter (docs/PERFORMANCE.md) ---------------------------
-
-    /**
-     * Enable / disable the snoop filter's *query* path (maintenance is
-     * always on, so the filter can be re-enabled mid-run). Disabled, the
-     * bus broadcasts every snoop to all ports — the pre-filter behavior
-     * pim_perf measures against and pim_conform fuzzes differentially.
-     */
-    void setSnoopFilterEnabled(bool enabled) { filterEnabled_ = enabled; }
-    bool snoopFilterEnabled() const { return filterEnabled_; }
+    //
+    // Every snoop, invalidation, update and lock check is directed by
+    // these masks to exactly the PEs that can respond.
 
     /** @p pe's cache gained a valid copy of @p block_addr. */
     void
@@ -373,7 +368,6 @@ class Bus
 
   private:
     struct Port {
-        PeId pe = 0;
         BusSnooper* cache = nullptr;
         LockSnooper* locks = nullptr;
     };
@@ -413,27 +407,6 @@ class Bus
     /** Report one transaction to the sink (no-op when none attached). */
     void emitTxn(const BusTxnEvent& event);
 
-    /**
-     * True when snoops may be directed by the residency masks. Requires
-     * the filter to be exact and no fault injector: the injector draws
-     * one RNG decision per *visited* port, so a filtered walk would
-     * shift the fault sequence and break seed replay.
-     */
-    bool
-    filterActive() const
-    {
-        return filterEnabled_ && residency_.exact() && injector_ == nullptr;
-    }
-
-    /** The port attached for @p pe (never null on the filtered path). */
-    const Port*
-    portOf(PeId pe) const
-    {
-        return pe < portIndexByPe_.size() && portIndexByPe_[pe] >= 0
-                   ? &ports_[static_cast<std::size_t>(portIndexByPe_[pe])]
-                   : nullptr;
-    }
-
     /** Block number of @p block_addr (purge-mark bitmap index). */
     std::size_t
     blockIndexOf(Addr block_addr) const
@@ -447,12 +420,10 @@ class Bus
 
     BusTiming timing_;
     PagedStore& memory_;
-    std::vector<Port> ports_;
-    std::vector<std::int32_t> portIndexByPe_; ///< PE id -> ports_ index.
+    std::vector<Port> ports_; ///< Indexed by PE id.
     ResidencyFilter residency_;
     ClusterTopology clusters_;
     InterClusterDirectory directory_;
-    bool filterEnabled_ = true;
     UnlockListener* unlockListener_ = nullptr;
     FaultInjector* injector_ = nullptr;
     EventSink* sink_ = nullptr;

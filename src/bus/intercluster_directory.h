@@ -17,9 +17,7 @@
  * and lock acquire/release); on a removal the directory re-checks the
  * departing PE's cluster range in the filter and clears the cluster bit
  * only when the last copy left. The summary is therefore exact — not a
- * conservative superset — and independent of whether the snoop filter's
- * query path is enabled, so filter-on and filter-off runs route (and
- * time) identically.
+ * conservative superset.
  *
  * Storage is paged like the filter's: two words per block, pages
  * materialized on first touch.

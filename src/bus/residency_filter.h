@@ -15,9 +15,12 @@
  * if and only if its cache holds the block, so skipping the other PEs
  * is observationally identical to snooping them (an absent copy neither
  * supplies data nor changes state, and an empty lock directory never
- * answers LH). Protocol outcomes, statistics and timing are bit-for-bit
- * unchanged — which the conformance engine (src/model) verifies by
- * fuzzing with the filter on and off.
+ * answers LH). The bus therefore has one snoop walk, directed by these
+ * masks, for every run including fault-injected ones: injected faults
+ * change cache state only through the same notifications. The
+ * conformance engine (src/model) holds that walk to its reference
+ * machine, and residency_filter_test checks the masks against the
+ * caches' contents, with and without injected faults.
  *
  * Masks are multi-word PE bitsets: an entry is ceil(P/64) consecutive
  * 64-bit words, so the filter is exact at *any* PE count — there is no
@@ -101,19 +104,6 @@ class ResidencyFilter
 
     /** Mask words per block entry (1 for machines of up to 64 PEs). */
     std::uint32_t maskWords() const { return maskWords_; }
-
-    /**
-     * True while the filtered walk's ascending-PE order matches the
-     * bus's port order. The bus consults masks only while exact; mask
-     * *contents* are exact regardless.
-     */
-    bool exact() const { return exact_; }
-
-    /**
-     * Permanently disable mask queries (e.g. the bus detected a port
-     * layout the masks cannot reproduce faithfully).
-     */
-    void markInexact() { exact_ = false; }
 
     /** @p pe's cache now holds a valid copy of @p block. */
     void
@@ -215,8 +205,7 @@ class ResidencyFilter
      * Call @p fn(PeId) for every copy holder of @p block except
      * @p skip, in ascending PE order. The entry is copied out first, so
      * @p fn may change residency (an FI snoop drops the snooped copy)
-     * without perturbing the walk — exactly the snapshot semantics of
-     * the broadcast scan it replaces.
+     * without perturbing the walk.
      */
     template <typename Fn>
     void
@@ -387,7 +376,6 @@ class ResidencyFilter
         store.pages = std::move(wider.pages);
     }
 
-    bool exact_ = true;
     std::uint32_t blockWords_ = 1;
     std::uint32_t maskWords_ = 1; ///< ceil(maxPe+1 / 64), grown by registerPe.
     int shift_ = 0; ///< log2(blockWords_) when a power of two, else -1.

@@ -24,7 +24,6 @@ makeSystemConfig(const HarnessConfig& config)
     sys.cache.replacement = config.replacement;
     sys.memoryWords =
         std::max<std::uint64_t>(config.spanWords(), config.blockWords);
-    sys.snoopFilter = config.snoopFilter;
     sys.cluster.clusterSize = config.clusterSize;
     sys.cluster.hopCycles = config.hopCycles;
     sys.validate();

@@ -50,12 +50,6 @@ struct HarnessConfig {
     /** Seeded protocol bug to arm (None = faithful protocol). */
     ProtocolMutation mutation = ProtocolMutation::None;
     /**
-     * Exact bus-side snoop filter (docs/PERFORMANCE.md). The conform
-     * suite fuzzes with it on and off: both must match the RefMachine,
-     * which pins the filter's exactness.
-     */
-    bool snoopFilter = true;
-    /**
      * Clustered snooping-bus topology (docs/ARCHITECTURE.md): PEs per
      * cluster (0 = single bus) and the interconnect hop cost. Clustering
      * is a pure timing feature, so every divergence check — including

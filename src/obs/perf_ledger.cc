@@ -42,12 +42,9 @@ extractPerf(const JsonValue& doc, std::map<std::string, LedgerMetric>* out)
     if (rows == nullptr || !rows->isArray())
         return;
     for (const JsonValue& row : rows->asArray()) {
-        const JsonValue* mode = row.find("mode");
         const JsonValue* pes = row.find("pes_point");
-        if (mode == nullptr || pes == nullptr || !mode->isString() ||
-            !pes->isNumber() || mode->asString() != "filtered") {
+        if (pes == nullptr || !pes->isNumber())
             continue;
-        }
         const std::string prefix =
             "perf.p" +
             std::to_string(static_cast<std::uint64_t>(pes->asNumber()));

@@ -229,8 +229,6 @@ StressConfig::replayLine() const
         out << " --plan=" << planSpec;
     if (!audit)
         out << " --no-audit";
-    if (!snoopFilter)
-        out << " --no-snoop-filter";
     if (clusterSize != 0)
         out << " --cluster-size=" << clusterSize
             << " --hop-cycles=" << hopCycles;
@@ -261,7 +259,6 @@ runStress(const StressConfig& config)
     sys_config.cache.geometry.sets = config.sets;
     sys_config.memoryWords =
         (rec_base + (max_records + 1) * block + block - 1) / block * block;
-    sys_config.snoopFilter = config.snoopFilter;
     sys_config.cluster.clusterSize = config.clusterSize;
     sys_config.cluster.hopCycles = config.hopCycles;
     sys_config.validate();

@@ -60,12 +60,6 @@ struct StressConfig {
     std::string attributionOut;
     bool audit = true;           ///< Attach the CoherenceAuditor.
     /**
-     * Exact bus-side snoop filter (docs/PERFORMANCE.md). Outcomes are
-     * identical either way; off reproduces the pre-filter broadcast
-     * (pim_perf's A/B baseline, pim_conform's differential fuzz).
-     */
-    bool snoopFilter = true;
-    /**
      * Clustered bus topology (docs/ARCHITECTURE.md): PEs per cluster
      * (0 = single bus) and the interconnect hop cost. Timing-only, but
      * part of the replay line: cluster timing changes arbitration order

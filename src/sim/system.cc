@@ -104,7 +104,6 @@ System::System(const SystemConfig& config)
             std::make_unique<PimCache>(pe, config_.cache, *bus_));
     }
     bus_->setUnlockListener(this);
-    bus_->setSnoopFilterEnabled(config_.snoopFilter);
 }
 
 System::~System()

@@ -41,12 +41,6 @@ struct SystemConfig {
     OptPolicy policy = OptPolicy::all();
     std::uint64_t memoryWords = 1ull << 26;
     /**
-     * Exact bus-side snoop filter (docs/PERFORMANCE.md). Protocol
-     * outcomes, statistics and timing are identical either way; off
-     * reproduces the pre-filter broadcast for A/B measurement.
-     */
-    bool snoopFilter = true;
-    /**
      * Clustered snooping-bus topology (docs/ARCHITECTURE.md). The
      * default (clusterSize 0) keeps the paper's single shared bus;
      * clusterSize > 0 partitions the PEs into per-cluster buses joined

@@ -41,19 +41,22 @@ makeRecord(std::uint64_t seq, double refs_per_sec, double cycles)
 
 // ---------------------------------------------------- extraction
 
-TEST(Extract, PerfDocTakesFilteredRowsOnly)
+TEST(Extract, PerfDocTakesEveryRow)
 {
     const JsonValue doc = JsonValue::parse(R"({
         "name": "perf",
         "rows": [
-            {"mode": "unfiltered", "pes_point": 8,
-             "refs_per_sec": 1.0, "cycles_per_ref": 9.0},
-            {"mode": "filtered", "pes_point": 8,
+            {"pes_point": 1, "refs_per_sec": 9000.0,
+             "cycles_per_ref": 2.5},
+            {"pes_point": 8,
              "refs_per_sec": 123456.0, "cycles_per_ref": 4.5,
-             "bus_transactions": 42}
+             "bus_transactions": 42},
+            {"refs_per_sec": 1.0}
         ]})");
     const auto metrics = extractLedgerMetrics(doc);
-    ASSERT_EQ(metrics.size(), 3u);
+    ASSERT_EQ(metrics.size(), 5u);
+    EXPECT_EQ(metrics.at("perf.p1.refs_per_sec").value, 9000.0);
+    EXPECT_EQ(metrics.at("perf.p1.cycles_per_ref").value, 2.5);
     EXPECT_EQ(metrics.at("perf.p8.refs_per_sec").value, 123456.0);
     EXPECT_FALSE(metrics.at("perf.p8.refs_per_sec").exact);
     EXPECT_TRUE(metrics.at("perf.p8.cycles_per_ref").exact);

@@ -10,9 +10,10 @@
  * ground truth (which PEs' caches actually hold the block) and the lock
  * mask equals which PEs' lock directories hold an entry on the block.
  *
- * The final test is the on/off differential: the same reference stream
- * driven through a filtered and an unfiltered System must produce
- * identical read values, protocol hashes and bus statistics.
+ * The bus has one snoop walk, and these masks decide which PEs it
+ * reaches. The last tests drive long mixed reference streams, with and
+ * without injected faults, and check the masks against that ground
+ * truth as the stream runs.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,7 @@
 
 #include "bus/residency_filter.h"
 #include "common/rng.h"
+#include "fault/fault_injector.h"
 #include "sim/system.h"
 
 namespace pim {
@@ -47,7 +49,6 @@ TEST(ResidencyFilterUnit, CopyMaskTracksAddRemove)
     // Removing an absent copy is a no-op, not an error.
     filter.removeCopy(5, 8);
     EXPECT_EQ(filter.copyMask(8), 1ull << 3);
-    EXPECT_TRUE(filter.exact());
 }
 
 TEST(ResidencyFilterUnit, LockMaskIsIdempotent)
@@ -83,9 +84,6 @@ TEST(ResidencyFilterUnit, MultiWordMasksAreExactAcrossWordBoundaries)
     EXPECT_EQ(filter.maskWords(), 2u);
     filter.registerPe(128);
     EXPECT_EQ(filter.maskWords(), 3u);
-    // Registering wide PEs never degrades exactness — the multi-word
-    // masks cover them (the old single-word design went inexact here).
-    EXPECT_TRUE(filter.exact());
 
     PeBitset expect(3);
     for (const PeId pe : {63u, 64u, 65u, 127u, 128u}) {
@@ -368,36 +366,44 @@ TEST(ResidencyMasks, WideMachineMasksStayExact)
 }
 
 // ---------------------------------------------------------------------
-// On/off differential: filtering must be observationally invisible.
+// Mixed streams: the masks stay exact through long runs of every
+// command kind, on narrow and wide machines and under injected faults.
+// (The ResidencyDifferential names are kept from the filter on/off
+// differential these streams used to drive.)
 // ---------------------------------------------------------------------
 
-TEST(ResidencyDifferential, FilterOnAndOffAreBitIdentical)
+/**
+ * Drive @p system through @p steps references of a mixed stream —
+ * reads and writes over [0, 256), DW -> ER/RP records bump-allocated
+ * from @p record_base, and non-blocking lock traffic on one word per PE
+ * at @p lock_base + 4 * pe — checking the masks of every block the
+ * stream touches every 100 steps and at the end. Each PE's lock word
+ * sits in its own block (LH inhibits a fetch when *any* word of the
+ * block is locked elsewhere, so shared blocks would park PEs), which
+ * keeps the stream retry-free.
+ */
+void
+runMixedStream(System& system, std::uint64_t seed, int steps,
+               Addr lock_base, Addr record_base)
 {
-    SystemConfig on_config = tinyConfig(4);
-    SystemConfig off_config = on_config;
-    off_config.snoopFilter = false;
-    System filtered(on_config);
-    System broadcast(off_config);
-    ASSERT_TRUE(filtered.bus().snoopFilterEnabled());
-    ASSERT_FALSE(broadcast.bus().snoopFilterEnabled());
-
-    // Drive both systems through the same mixed stream: reads, writes,
-    // optimized commands over a record area, and non-blocking lock
-    // traffic. Each PE's lock word sits in its own block (LH inhibits a
-    // fetch when *any* word of the block is locked elsewhere, so shared
-    // blocks would park PEs), which keeps the stream retry-free.
-    Rng rng(2026);
+    const std::uint32_t pes = system.config().numPes;
+    const auto check = [&](Addr record_end) {
+        expectExactMasks(system, 0, 256);
+        expectExactMasks(system, lock_base, lock_base + 4 * pes);
+        expectExactMasks(system, record_base, record_end);
+    };
+    Rng rng(seed);
     std::vector<Addr> records;
-    std::vector<bool> holds(4, false);
-    Addr next_record = 512;
-    for (int step = 0; step < 3000; ++step) {
-        const PeId pe = static_cast<PeId>(rng.below(4));
+    std::vector<bool> holds(pes, false);
+    Addr next_record = record_base;
+    for (int step = 0; step < steps; ++step) {
+        const PeId pe = static_cast<PeId>(rng.below(pes));
         const std::uint64_t roll = rng.below(100);
         MemOp op;
         Addr addr;
         Word wdata = 0;
         if (roll < 20) {
-            addr = 448 + pe * 4;
+            addr = lock_base + pe * 4;
             if (holds[pe]) {
                 op = rng.chance(1, 2) ? MemOp::U : MemOp::UW;
                 if (op == MemOp::UW)
@@ -426,95 +432,55 @@ TEST(ResidencyDifferential, FilterOnAndOffAreBitIdentical)
                 wdata = rng.next();
         }
         const System::Access a =
-            filtered.access(pe, op, addr, Area::Heap, wdata);
-        const System::Access b =
-            broadcast.access(pe, op, addr, Area::Heap, wdata);
+            system.access(pe, op, addr, Area::Heap, wdata);
         ASSERT_FALSE(a.lockWait) << "step " << step;
-        ASSERT_FALSE(b.lockWait) << "step " << step;
-        ASSERT_EQ(a.data, b.data) << "step " << step;
+        if (step % 100 == 99)
+            check(next_record);
     }
+    check(next_record);
+}
 
-    EXPECT_EQ(filtered.protocolHash(0, 4096),
-              broadcast.protocolHash(0, 4096));
-    for (int pattern = 0; pattern < kNumBusPatterns; ++pattern) {
-        EXPECT_EQ(filtered.bus().stats().transByPattern[pattern],
-                  broadcast.bus().stats().transByPattern[pattern]);
-        EXPECT_EQ(filtered.bus().stats().cyclesByPattern[pattern],
-                  broadcast.bus().stats().cyclesByPattern[pattern]);
-    }
-    expectExactMasks(filtered, 0, 1024);
+TEST(ResidencyDifferential, FilterOnAndOffAreBitIdentical)
+{
+    System system(tinyConfig(4));
+    runMixedStream(system, 2026, 3000, 448, 512);
 }
 
 TEST(ResidencyDifferential, WideMachineFilterOnAndOffAreBitIdentical)
 {
-    SystemConfig on_config = tinyConfig(128);
-    SystemConfig off_config = on_config;
-    off_config.snoopFilter = false;
-    System filtered(on_config);
-    System broadcast(off_config);
-
-    // Same structure as the 4-PE differential, with the lock words and
-    // record area moved clear of each other for 128 PEs (each PE's lock
-    // word in its own block keeps the stream retry-free).
-    Rng rng(128128);
-    std::vector<Addr> records;
-    std::vector<bool> holds(128, false);
-    Addr next_record = 8192;
-    for (int step = 0; step < 2000; ++step) {
-        const PeId pe = static_cast<PeId>(rng.below(128));
-        const std::uint64_t roll = rng.below(100);
-        MemOp op;
-        Addr addr;
-        Word wdata = 0;
-        if (roll < 20) {
-            addr = 4096 + pe * 4;
-            if (holds[pe]) {
-                op = rng.chance(1, 2) ? MemOp::U : MemOp::UW;
-                if (op == MemOp::UW)
-                    wdata = rng.next();
-                holds[pe] = false;
-            } else {
-                op = MemOp::LR;
-                holds[pe] = true;
-            }
-        } else if (roll < 30) {
-            if (!records.empty() && rng.chance(1, 2)) {
-                addr = records.back();
-                records.pop_back();
-                op = rng.chance(1, 2) ? MemOp::ER : MemOp::RP;
-            } else {
-                op = MemOp::DW;
-                addr = next_record;
-                next_record += 4;
-                wdata = rng.next();
-                records.push_back(addr);
-            }
-        } else {
-            op = roll < 60 ? MemOp::W : MemOp::R;
-            addr = rng.below(256);
-            if (op == MemOp::W)
-                wdata = rng.next();
-        }
-        const System::Access a =
-            filtered.access(pe, op, addr, Area::Heap, wdata);
-        const System::Access b =
-            broadcast.access(pe, op, addr, Area::Heap, wdata);
-        ASSERT_FALSE(a.lockWait) << "step " << step;
-        ASSERT_FALSE(b.lockWait) << "step " << step;
-        ASSERT_EQ(a.data, b.data) << "step " << step;
-    }
-
-    EXPECT_EQ(filtered.protocolHash(0, 16384),
-              broadcast.protocolHash(0, 16384));
-    for (int pattern = 0; pattern < kNumBusPatterns; ++pattern) {
-        EXPECT_EQ(filtered.bus().stats().transByPattern[pattern],
-                  broadcast.bus().stats().transByPattern[pattern]);
-        EXPECT_EQ(filtered.bus().stats().cyclesByPattern[pattern],
-                  broadcast.bus().stats().cyclesByPattern[pattern]);
-    }
-    expectExactMasks(filtered, 0, 1024);
-    expectExactMasks(filtered, 4096, 4608);
+    // 128 PEs: lock words and the record area moved clear of each other.
+    System system(tinyConfig(128));
+    runMixedStream(system, 128128, 2000, 4096, 8192);
 }
+
+/**
+ * Injected faults change cache and lock state only through the same
+ * notifications as the protocol itself, so the masks — and with them
+ * the one filtered snoop walk — stay exact under every fault kind.
+ */
+class ResidencyMasks : public ::testing::TestWithParam<const char*>
+{
+};
+
+TEST_P(ResidencyMasks, ExactUnderFaultInjection)
+{
+    const FaultPlan plan =
+        FaultPlan::parse(std::string(GetParam()) + ":p=0.05");
+    FaultInjector injector(plan, 7);
+    System system(tinyConfig(4));
+    system.setFaultInjector(&injector);
+    runMixedStream(system, 2026, 3000, 448, 512);
+    EXPECT_GT(injector.stats(plan.rules[0].site).fires, 0u)
+        << injector.summary();
+}
+
+INSTANTIATE_TEST_SUITE_P(Sites, ResidencyMasks,
+                         ::testing::Values("drop_snoop", "dup_snoop",
+                                           "spurious_inv", "forced_miss",
+                                           "bit_flip", "corrupt_word"),
+                         [](const auto& info) {
+                             return std::string(info.param);
+                         });
 
 } // namespace
 } // namespace pim
