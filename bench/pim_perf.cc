@@ -25,8 +25,8 @@
  * Unknown options (including the retired --par-jobs and --min-speedup)
  * exit 1.
  *
- * --cluster-size=N partitions the PEs into per-cluster snooping buses
- * with an inter-cluster directory (docs/ARCHITECTURE.md); 0 keeps the
+ * --cluster-size=N partitions the PEs into per-cluster snooping buses,
+ * routed from the residency masks (docs/ARCHITECTURE.md); 0 keeps the
  * paper's single bus.
  *
  * --attribution-out=PATH adds one extra *untimed* run at the largest PE
@@ -175,6 +175,8 @@ perfMain(int argc, char** argv)
         if (!ctx.options.has("pes"))
             max_pes = std::min<std::uint32_t>(max_pes, 4);
     }
+    // The banner and BENCH_perf.json report the PE count that runs.
+    ctx.pes = max_pes;
 
     // Bus-heavy shape: every reference contends in a shared region far
     // larger than the 4K-word caches (high miss rate, so most references

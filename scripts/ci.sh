@@ -37,7 +37,7 @@ perf_smoke() {
 # Clustered-topology gate (docs/ARCHITECTURE.md): a deeper clustered
 # conformance fuzz than the ctest `cluster` label runs, plus the
 # 128-PE clustered perf smoke with its JSON schema check. Exercises
-# the inter-cluster directory, hop accounting and the exactness
+# mask-derived cluster routes, hop accounting and the exactness
 # invariants at a scale the unit tests keep short.
 cluster_smoke() {
     local dir="build-release"

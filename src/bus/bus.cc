@@ -1,7 +1,5 @@
 #include "bus/bus.h"
 
-#include <algorithm>
-
 #include "common/xassert.h"
 #include "obs/event_sink.h"
 
@@ -12,7 +10,6 @@ Bus::Bus(const BusTiming& timing, PagedStore& memory,
     : timing_(timing), memory_(memory), clusters_(cluster)
 {
     residency_.setBlockWords(timing_.blockWords);
-    directory_.configure(cluster, timing_.blockWords);
     if (timing_.blockWords != 0 &&
         (timing_.blockWords & (timing_.blockWords - 1)) == 0) {
         blockShift_ = 0;
@@ -44,14 +41,15 @@ Bus::routeFor(PeId requester, Addr block_addr, bool snoops_copies,
               bool checks_locks) const
 {
     Route route;
-    if (!clusters_.enabled())
+    if (clusters_.numClusters() == 1)
         return route;
     route.local = clusters_.clusterOf(requester);
+    const std::uint32_t size = clusters_.config().clusterSize;
     std::uint64_t remote = 0;
     if (snoops_copies)
-        remote |= directory_.copyClusters(block_addr);
+        remote |= residency_.copyClusters(block_addr, size);
     if (checks_locks)
-        remote |= directory_.lockClusters(block_addr);
+        remote |= residency_.lockClusters(block_addr, size);
     remote &= ~(1ull << route.local);
     route.remote = remote;
     // One round trip covers every remote cluster consulted: the
@@ -65,25 +63,6 @@ Bus::routeFor(PeId requester, Addr block_addr, bool snoops_copies,
     // topologies keep scaling where the single bus saturates.
     route.hop = remote != 0 ? 2 * clusters_.hopCycles() : 0;
     return route;
-}
-
-Cycles
-Bus::arbitrate(const Route& route, Cycles when) const
-{
-    if (!clusters_.enabled())
-        return std::max(when, freeAt_);
-    return clusters_.arbitrate(route.local, route.remote, when);
-}
-
-void
-Bus::release(const Route& route, Cycles until)
-{
-    if (clusters_.enabled())
-        clusters_.occupy(route.local, route.remote, until);
-    // freeAt_ remains the whole-system high-water mark; on the single
-    // bus it is the one shared resource itself.
-    if (until > freeAt_)
-        freeAt_ = until;
 }
 
 bool
@@ -119,7 +98,7 @@ Bus::fetch(PeId requester, Addr block_addr, bool invalidate, bool with_lock,
     // clusters must be consulted; memory (including a dirty victim's
     // writeback) is reached through the local cluster's bank port.
     const Route route = routeFor(requester, block_addr, true, true);
-    const Cycles start = arbitrate(route, when);
+    const Cycles start = clusters_.arbitrate(route.local, route.remote, when);
     FetchResult result;
 
     stats_.cmdCounts[static_cast<int>(invalidate ? BusCmd::FI : BusCmd::F)]
@@ -137,7 +116,7 @@ Bus::fetch(PeId requester, Addr block_addr, bool invalidate, bool with_lock,
             routeFor(requester, block_addr, false, true).hop;
         const Cycles cost = timing_.lockRejectCycles();
         stats_.account(BusPattern::LockReject, cost, area, requester, hop);
-        release(route, start + cost + hop);
+        clusters_.occupy(route.local, route.remote, start + cost + hop);
         result.lockHit = true;
         result.completeAt = start + cost + hop;
         if (sink_ != nullptr) {
@@ -221,7 +200,7 @@ Bus::fetch(PeId requester, Addr block_addr, bool invalidate, bool with_lock,
     // Injected fault: one bit of the transferred block flips on the bus.
     if (injector_ != nullptr && injector_->fire(FaultSite::CorruptWord))
         injector_->flipBit(data_out, timing_.blockWords);
-    release(route, start + cost + route.hop);
+    clusters_.occupy(route.local, route.remote, start + cost + route.hop);
     result.completeAt = start + cost + route.hop;
     if (sink_ != nullptr) {
         BusTxnEvent event;
@@ -254,7 +233,7 @@ Bus::invalidate(PeId requester, Addr block_addr, bool with_lock,
                "invalidate of unaligned block address");
     const Route route =
         routeFor(requester, block_addr, true, with_lock);
-    const Cycles start = arbitrate(route, when);
+    const Cycles start = clusters_.arbitrate(route.local, route.remote, when);
     InvalidateResult result;
 
     stats_.cmdCounts[static_cast<int>(BusCmd::I)] += 1;
@@ -269,7 +248,7 @@ Bus::invalidate(PeId requester, Addr block_addr, bool with_lock,
             const Cycles cost = timing_.lockRejectCycles();
             stats_.account(BusPattern::LockReject, cost, area, requester,
                            hop);
-            release(route, start + cost + hop);
+            clusters_.occupy(route.local, route.remote, start + cost + hop);
             result.lockHit = true;
             result.completeAt = start + cost + hop;
             if (sink_ != nullptr) {
@@ -299,7 +278,7 @@ Bus::invalidate(PeId requester, Addr block_addr, bool with_lock,
     const Cycles cost = timing_.invalidateCycles();
     stats_.account(BusPattern::Invalidate, cost, area, requester,
                    route.hop);
-    release(route, start + cost + route.hop);
+    clusters_.occupy(route.local, route.remote, start + cost + route.hop);
     result.completeAt = start + cost + route.hop;
     if (sink_ != nullptr) {
         BusTxnEvent event;
@@ -372,12 +351,12 @@ Bus::swapOutOnly(PeId requester, Addr victim_addr, const Word* data,
 {
     // Pure memory crossing: no cluster is snooped.
     const Route route = routeFor(requester, victim_addr, false, false);
-    const Cycles start = arbitrate(route, when);
+    const Cycles start = clusters_.arbitrate(route.local, route.remote, when);
     writeBackData(victim_addr, data);
     const Cycles cost = timing_.swapOutOnlyCycles();
     stats_.account(BusPattern::SwapOutOnly, cost, area, requester,
                    route.hop);
-    release(route, start + cost + route.hop);
+    clusters_.occupy(route.local, route.remote, start + cost + route.hop);
     const Cycles complete = start + cost + route.hop;
     if (sink_ != nullptr) {
         BusTxnEvent event;
@@ -399,18 +378,17 @@ Cycles
 Bus::unlockBroadcast(PeId requester, Addr word_addr, Cycles when, Area area)
 {
     // UL floods every cluster: parked PEs anywhere may be waiting on the
-    // word. One-way hop cost — no replies are collected.
+    // word. One-way hop cost — no replies are collected — and none at
+    // all on the single bus, which has no remote cluster.
     Route route;
-    if (clusters_.enabled()) {
-        route.local = clusters_.clusterOf(requester);
-        route.remote = clusters_.allRemote(route.local);
-        route.hop = clusters_.hopCycles();
-    }
-    const Cycles start = arbitrate(route, when);
+    route.local = clusters_.clusterOf(requester);
+    route.remote = clusters_.allRemote(route.local);
+    route.hop = route.remote != 0 ? clusters_.hopCycles() : 0;
+    const Cycles start = clusters_.arbitrate(route.local, route.remote, when);
     stats_.cmdCounts[static_cast<int>(BusCmd::UL)] += 1;
     const Cycles cost = timing_.unlockCycles();
     stats_.account(BusPattern::Unlock, cost, area, requester, route.hop);
-    release(route, start + cost + route.hop);
+    clusters_.occupy(route.local, route.remote, start + cost + route.hop);
     const Cycles complete = start + cost + route.hop;
     if (sink_ != nullptr) {
         BusTxnEvent event;
@@ -438,7 +416,7 @@ Bus::writeWordThrough(PeId requester, Addr word_addr, Word value,
     const Addr block_addr = word_addr - word_addr % timing_.blockWords;
     // Copy clusters are invalidated and the word crosses to memory.
     const Route route = routeFor(requester, block_addr, true, false);
-    const Cycles start = arbitrate(route, when);
+    const Cycles start = clusters_.arbitrate(route.local, route.remote, when);
     memory_.write(word_addr, value);
     setPurgeMark(block_addr, false);
     stats_.memoryBusyCycles += timing_.memAccessCycles;
@@ -448,7 +426,7 @@ Bus::writeWordThrough(PeId requester, Addr word_addr, Word value,
     });
     const Cycles cost = timing_.wordWriteCycles();
     stats_.account(BusPattern::WordWrite, cost, area, requester, route.hop);
-    release(route, start + cost + route.hop);
+    clusters_.occupy(route.local, route.remote, start + cost + route.hop);
     const Cycles complete = start + cost + route.hop;
     if (sink_ != nullptr) {
         BusTxnEvent event;
@@ -472,7 +450,7 @@ Bus::updateWord(PeId requester, Addr word_addr, Word value, Cycles when,
 {
     const Addr block_addr = word_addr - word_addr % timing_.blockWords;
     const Route route = routeFor(requester, block_addr, true, false);
-    const Cycles start = arbitrate(route, when);
+    const Cycles start = clusters_.arbitrate(route.local, route.remote, when);
     UpdateResult result;
     residency_.forEachCopyHolder(block_addr, requester, [&](PeId pe) {
         if (ports_[pe].cache->snoopUpdate(word_addr, value, start))
@@ -480,7 +458,7 @@ Bus::updateWord(PeId requester, Addr word_addr, Word value, Cycles when,
     });
     const Cycles cost = timing_.wordUpdateCycles();
     stats_.account(BusPattern::WordUpdate, cost, area, requester, route.hop);
-    release(route, start + cost + route.hop);
+    clusters_.occupy(route.local, route.remote, start + cost + route.hop);
     result.completeAt = start + cost + route.hop;
     if (sink_ != nullptr) {
         BusTxnEvent event;

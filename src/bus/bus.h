@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "bus/cluster_bus.h"
-#include "bus/intercluster_directory.h"
 #include "bus/residency_filter.h"
 #include "bus/timing.h"
 #include "common/types.h"
@@ -189,8 +188,9 @@ struct UpdateResult {
  * On a clustered topology (ClusterConfig.clusterSize > 0 with 2+
  * clusters) the single resource splits into per-cluster buses joined by
  * a contention-free crossbar (ClusterTopology); a transaction reserves
- * only the buses on its route — directed by the InterClusterDirectory —
- * and pays the route's hop cycles on top of its pattern cost. Snoop
+ * only the buses on its route — the clusters the residency masks show
+ * holding copies or locks — and pays the route's hop cycles on top of
+ * its pattern cost. The single bus is the one-cluster topology. Snoop
  * semantics are identical on every topology.
  */
 class Bus
@@ -326,14 +326,14 @@ class Bus
     // -- Residency filter (docs/PERFORMANCE.md) ---------------------------
     //
     // Every snoop, invalidation, update and lock check is directed by
-    // these masks to exactly the PEs that can respond.
+    // these masks to exactly the PEs that can respond, and every
+    // clustered route is derived from them.
 
     /** @p pe's cache gained a valid copy of @p block_addr. */
     void
     noteBlockPresent(PeId pe, Addr block_addr)
     {
         residency_.addCopy(pe, block_addr);
-        directory_.noteCopy(pe, block_addr, true, residency_);
     }
 
     /** @p pe's cache dropped its copy of @p block_addr. */
@@ -341,7 +341,6 @@ class Bus
     noteBlockAbsent(PeId pe, Addr block_addr)
     {
         residency_.removeCopy(pe, block_addr);
-        directory_.noteCopy(pe, block_addr, false, residency_);
     }
 
     /** @p pe's lock directory residency in @p block_addr changed. */
@@ -349,13 +348,9 @@ class Bus
     noteLockResidency(PeId pe, Addr block_addr, bool resident)
     {
         residency_.setLockResident(pe, block_addr, resident);
-        directory_.noteLock(pe, block_addr, resident, residency_);
     }
 
     const ResidencyFilter& residency() const { return residency_; }
-
-    /** The per-block cluster-residency sets (clustered topology). */
-    const InterClusterDirectory& directory() const { return directory_; }
 
     /** The cluster partition and per-cluster bus occupancy. */
     const ClusterTopology& clusters() const { return clusters_; }
@@ -363,7 +358,6 @@ class Bus
     const BusTiming& timing() const { return timing_; }
     BusStats& stats() { return stats_; }
     const BusStats& stats() const { return stats_; }
-    Cycles freeAt() const { return freeAt_; }
     PagedStore& memory() { return memory_; }
 
   private:
@@ -374,8 +368,8 @@ class Bus
 
     /**
      * The cluster resources a transaction reserves and the hop cycles
-     * it pays. Trivial (hop 0, nothing reserved beyond the legacy
-     * freeAt_) on the single-bus topology.
+     * it pays. Trivial (cluster 0's bus, hop 0) on the single-bus
+     * topology.
      */
     struct Route {
         std::uint32_t local = 0;    ///< Requester's cluster.
@@ -385,7 +379,7 @@ class Bus
 
     /**
      * Route for an F/FI/I/LK transaction on @p block_addr, from the
-     * pre-transaction directory state: the remote clusters holding
+     * pre-transaction residency masks: the remote clusters holding
      * copies (@p snoops_copies) and/or locks (@p checks_locks). Memory
      * is banked per cluster (each cluster bus has its own port into the
      * shared-memory modules), so memory crossings never ride the
@@ -394,12 +388,6 @@ class Bus
      */
     Route routeFor(PeId requester, Addr block_addr, bool snoops_copies,
                    bool checks_locks) const;
-
-    /** Earliest start of a transaction over @p route. */
-    Cycles arbitrate(const Route& route, Cycles when) const;
-
-    /** Hold @p route's resources until @p until. */
-    void release(const Route& route, Cycles until);
 
     /** LH check across all directories except the requester's. */
     bool lockCheck(PeId requester, Addr block_addr, Cycles when);
@@ -423,11 +411,9 @@ class Bus
     std::vector<Port> ports_; ///< Indexed by PE id.
     ResidencyFilter residency_;
     ClusterTopology clusters_;
-    InterClusterDirectory directory_;
     UnlockListener* unlockListener_ = nullptr;
     FaultInjector* injector_ = nullptr;
     EventSink* sink_ = nullptr;
-    Cycles freeAt_ = 0;
     BusStats stats_;
     int blockShift_ = -1; ///< log2(blockWords) when a power of two.
     /**

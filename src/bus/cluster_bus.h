@@ -8,12 +8,14 @@
  * with its own snooping bus and its own port into the banked shared
  * memory, joined by a contention-free point-to-point interconnect (a
  * crossbar: only the buses serialize, crossings between disjoint
- * cluster pairs overlap freely). The inter-cluster directory
- * (src/bus/intercluster_directory.h) records which clusters can hold
- * copies or locks of each block, so a transaction reserves — and pays
- * hop cycles for — only the cluster buses that must actually be
- * consulted. Transactions whose routes touch disjoint buses overlap
- * in time; that overlap is the whole scaling win.
+ * cluster pairs overlap freely). The residency filter's exact per-PE
+ * masks (src/bus/residency_filter.h) say which clusters hold copies or
+ * locks of each block, so a transaction reserves — and pays hop cycles
+ * for — only the cluster buses that must actually be consulted.
+ * Transactions whose routes touch disjoint buses overlap in time; that
+ * overlap is the whole scaling win. The paper's single bus is the
+ * one-cluster case of the same model: every transaction reserves cluster
+ * 0's bus and pays no hops.
  *
  * Timing model (circuit-switched reservation): arbitration starts a
  * transaction at max(request time, free time of every reserved bus) —
@@ -46,8 +48,8 @@ struct ClusterConfig {
     /**
      * PEs per cluster; 0 keeps the paper's single shared bus. PE p
      * belongs to cluster p / clusterSize, so a machine of P PEs has
-     * ceil(P / clusterSize) clusters (at most 64: cluster sets are one
-     * mask word in the inter-cluster directory).
+     * ceil(P / clusterSize) clusters (at most 64: a route's cluster
+     * set is one 64-bit mask).
      */
     std::uint32_t clusterSize = 0;
 
@@ -76,9 +78,8 @@ struct ClusterConfig {
 
 /**
  * Per-cluster bus and interconnect occupancy. Owned by the Bus; a
- * single-bus topology (clusterSize 0, or every PE in one cluster) is
- * disabled() and the Bus keeps its legacy single freeAt path, byte
- * identical to the pre-cluster simulator.
+ * single-bus topology (clusterSize 0, or every PE in one cluster) has
+ * one cluster, whose bus is the paper's shared bus.
  */
 class ClusterTopology
 {
@@ -97,13 +98,6 @@ class ClusterTopology
             numClusters_ = cluster + 1;
         if (freeAt_.size() < numClusters_)
             freeAt_.resize(numClusters_, 0);
-    }
-
-    /** True when transactions arbitrate per cluster (2+ clusters). */
-    bool
-    enabled() const
-    {
-        return config_.clusterSize > 0 && numClusters_ > 1;
     }
 
     const ClusterConfig& config() const { return config_; }
@@ -170,7 +164,8 @@ class ClusterTopology
   private:
     ClusterConfig config_;
     std::uint32_t numClusters_ = 1;
-    std::vector<Cycles> freeAt_; ///< Per-cluster bus busy-until.
+    /** Per-cluster bus busy-until; cluster 0 exists before any attach. */
+    std::vector<Cycles> freeAt_ = std::vector<Cycles>(1, 0);
 };
 
 } // namespace pim

@@ -26,9 +26,10 @@
  * 64-bit words, so the filter is exact at *any* PE count — there is no
  * 64-PE ceiling and no broadcast fallback for wide machines. With 64 or
  * fewer PEs an entry is a single word and the maintenance/query cost is
- * identical to the single-word design this replaces. The per-block
- * cluster summaries the inter-cluster directory keeps
- * (src/bus/intercluster_directory.h) are derived from these masks.
+ * identical to the single-word design this replaces. They are also the
+ * clustered topology's only residency record: copyClusters and
+ * lockClusters fold a block's masks into the cluster set a transaction
+ * must reserve (src/bus/cluster_bus.h).
  *
  * Entries live in pages allocated on first touch (the PagedStore idiom):
  * a lookup is one shift, one page-pointer load and one indexed load, and
@@ -187,18 +188,23 @@ class ResidencyFilter
         return false;
     }
 
-    /** True if any PE in [@p lo, @p hi) holds a copy of @p block. */
-    bool
-    anyCopyInRange(Addr block, PeId lo, PeId hi) const
+    /**
+     * Clusters of @p cluster_size PEs (PE p in cluster p / cluster_size)
+     * holding at least one copy of @p block, as a cluster bit mask; the
+     * clustered bus routes from it. The machine must partition into at
+     * most 64 clusters (SystemConfig::validate enforces this).
+     */
+    std::uint64_t
+    copyClusters(Addr block, std::uint32_t cluster_size) const
     {
-        return anyInRange(copies_, block, lo, hi);
+        return clustersOf(copies_, block, cluster_size);
     }
 
-    /** True if any PE in [@p lo, @p hi) has lock residency in @p block. */
-    bool
-    anyLockInRange(Addr block, PeId lo, PeId hi) const
+    /** copyClusters, over the lock-residency masks. */
+    std::uint64_t
+    lockClusters(Addr block, std::uint32_t cluster_size) const
     {
-        return anyInRange(locks_, block, lo, hi);
+        return clustersOf(locks_, block, cluster_size);
     }
 
     /**
@@ -286,25 +292,31 @@ class ResidencyFilter
         return PeBitset::fromWords(words, maskWords_);
     }
 
-    bool
-    anyInRange(const MaskStore& store, Addr block, PeId lo, PeId hi) const
+    /**
+     * One pass over the entry's words plus one step per holding cluster:
+     * at a set bit, record that PE's cluster and skip the rest of the
+     * cluster within the word.
+     */
+    std::uint64_t
+    clustersOf(const MaskStore& store, Addr block,
+               std::uint32_t cluster_size) const
     {
         const std::uint64_t* words = entryIfPresent(store, indexOf(block));
-        if (words == nullptr || lo >= hi)
-            return false;
-        const std::uint32_t lo_word = lo >> 6;
-        const std::uint32_t hi_word = (hi - 1) >> 6;
-        for (std::uint32_t w = lo_word;
-             w <= hi_word && w < maskWords_; ++w) {
+        if (words == nullptr)
+            return 0;
+        std::uint64_t clusters = 0;
+        for (std::uint32_t w = 0; w < maskWords_; ++w) {
+            const std::uint64_t base = static_cast<std::uint64_t>(w) << 6;
             std::uint64_t mask = words[w];
-            if (w == lo_word)
-                mask &= ~0ull << (lo & 63);
-            if (w == hi_word && (hi & 63) != 0)
-                mask &= (1ull << (hi & 63)) - 1;
-            if (mask != 0)
-                return true;
+            while (mask != 0) {
+                const std::uint64_t cluster =
+                    (base + __builtin_ctzll(mask)) / cluster_size;
+                clusters |= 1ull << cluster;
+                const std::uint64_t next = (cluster + 1) * cluster_size - base;
+                mask = next >= 64 ? 0 : mask & (~0ull << next);
+            }
         }
-        return false;
+        return clusters;
     }
 
     template <typename Fn>

@@ -12,6 +12,7 @@
 
 #include <cstdint>
 
+#include "common/hash.h"
 #include "common/xassert.h"
 
 namespace pim {
@@ -24,11 +25,8 @@ class Rng
     {
         std::uint64_t x = seed;
         for (auto& word : state_) {
+            word = mix64(x);
             x += 0x9e3779b97f4a7c15ULL;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-            word = z ^ (z >> 31);
         }
     }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "cache/state.h"
+#include "common/hash.h"
 #include "common/sim_fault.h"
 #include "common/xassert.h"
 #include "verify/invariants.h"
@@ -521,13 +522,8 @@ std::uint64_t
 ConformanceHarness::snapshotHash() const
 {
     std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::uint64_t v : snapshot()) {
-        std::uint64_t z =
-            h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        h = z ^ (z >> 31);
-    }
+    for (std::uint64_t v : snapshot())
+        h = hashCombine(h, v);
     return h;
 }
 

@@ -1,5 +1,6 @@
 #include "sim/par_workload.h"
 
+#include "common/hash.h"
 #include "common/xassert.h"
 
 namespace pim {
@@ -11,15 +12,6 @@ Addr
 roundUp(Addr v, Addr align)
 {
     return (v + align - 1) & ~(align - 1);
-}
-
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
 }
 
 } // namespace

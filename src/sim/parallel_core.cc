@@ -2,19 +2,11 @@
 
 #include <vector>
 
+#include "common/hash.h"
+
 namespace pim {
 
 namespace {
-
-/** splitmix64 finalizer (the repo's canonical 64-bit mixer). */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
 
 /** Fold one completed reference into a per-PE fingerprint chain. */
 std::uint64_t

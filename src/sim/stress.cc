@@ -4,12 +4,12 @@
 #include <deque>
 #include <sstream>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/strutil.h"
 #include "common/thread_pool.h"
 #include "fault/fault_injector.h"
 #include "obs/attribution.h"
-#include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "sim/parallel_core.h"
 #include "sim/system.h"
@@ -19,16 +19,6 @@
 namespace pim {
 
 namespace {
-
-/** Fingerprint mixer (splitmix64 finalizer over a running hash). */
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    std::uint64_t z = h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-}
 
 /** One PE's driver state. */
 struct PeState {
@@ -149,11 +139,11 @@ class GlobalStressSource : public RefSource
         if (op.op == MemOp::DW)
             records_.push_back(op.addr);
         if (completed_ < config_.steps) {
-            fingerprint_ = mix(fingerprint_,
+            fingerprint_ = hashCombine(fingerprint_,
                                (static_cast<std::uint64_t>(pe) << 8) |
                                    static_cast<std::uint64_t>(op.op));
-            fingerprint_ = mix(fingerprint_, op.addr);
-            fingerprint_ = mix(fingerprint_, data);
+            fingerprint_ = hashCombine(fingerprint_, op.addr);
+            fingerprint_ = hashCombine(fingerprint_, data);
         }
         completed_ += 1;
     }
@@ -285,15 +275,10 @@ runStress(const StressConfig& config)
     LockWatchdog watchdog(system, config.watchdog);
     system.addAccessObserver(&watchdog);
 
-    // Observability: the metrics registry always rides along (it is the
-    // event-hook cross-check below); the timeline recorder only when a
-    // dump could be wanted (it records every event individually).
-    MetricsRegistry metrics;
-    system.addEventSink(&metrics);
-    // The attribution engine always rides along too: its bucket-sum
-    // cross-check below is the cycle-level sibling of the transaction
-    // count check, and must hold on every run, not only when a dump was
-    // requested.
+    // Observability: the attribution engine always rides along (its
+    // cross-check below must hold on every run, not only when a dump was
+    // requested); the timeline recorder only when a dump could be wanted
+    // (it records every event individually).
     AttributionEngine attribution(config.numPes, sys_config.timing,
                                   config.blockWords,
                                   config.ways * config.sets);
@@ -321,26 +306,13 @@ runStress(const StressConfig& config)
         if (config.audit)
             auditor.auditFull();
 
-        // Event-hook cross-check: every bus transaction the stats counted
-        // must have been reported to the event sinks exactly once. A
-        // mismatch means an emission site was missed (or fired twice) —
-        // the observability layer is lying about the run.
-        std::uint64_t trans_by_stats = 0;
-        for (int p = 0; p < kNumBusPatterns; ++p)
-            trans_by_stats += system.bus().stats().transByPattern[p];
-        const std::uint64_t trans_by_events =
-            metrics.counter("bus.transactions");
-        if (trans_by_events != trans_by_stats) {
-            throw PIM_SIM_FAULT(
-                SimFaultKind::Protocol, "event-hook cross-check: BusStats "
-                "counted ", trans_by_stats, " transactions but the event "
-                "sink observed ", trans_by_events);
-        }
-
-        // Attribution cross-check (the cycle-level sibling): every bus
-        // cycle must land in exactly one cause bucket, and every miss in
-        // exactly one class. A mismatch means the attribution engine
-        // misread the event stream — its reports would be lying.
+        // Event-hook cross-check: every bus transaction and cycle the
+        // stats counted must have been reported to the event sinks
+        // exactly once (per pattern and in total) and land in exactly
+        // one cause bucket, and every miss in exactly one class. A
+        // mismatch means an emission site was missed or fired twice, or
+        // the attribution engine misread the event stream — the
+        // observability layer would be lying about the run.
         const std::string attr_error =
             attribution.crossCheck(system.bus().stats());
         if (!attr_error.empty()) {

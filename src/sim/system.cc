@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 
+#include "common/hash.h"
 #include "common/sim_fault.h"
 #include "common/xassert.h"
 
@@ -77,7 +78,8 @@ SystemConfig::validate() const
             SimFaultKind::Config, "clusterSize ", cluster.clusterSize,
             " partitions ", numPes, " PEs into ",
             cluster.clustersFor(numPes),
-            " clusters; the inter-cluster directory supports at most 64");
+            " clusters; clustered routes are 64-bit cluster masks, so at "
+            "most 64 are supported");
 }
 
 void
@@ -288,15 +290,9 @@ System::protocolSnapshot(Addr lo, Addr hi) const
 std::uint64_t
 System::protocolHash(Addr lo, Addr hi) const
 {
-    // splitmix64 finalizer folded over the snapshot words.
     std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::uint64_t v : protocolSnapshot(lo, hi)) {
-        std::uint64_t z =
-            h ^ (v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2));
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-        h = z ^ (z >> 31);
-    }
+    for (std::uint64_t v : protocolSnapshot(lo, hi))
+        h = hashCombine(h, v);
     return h;
 }
 

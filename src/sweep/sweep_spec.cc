@@ -4,6 +4,7 @@
 #include <set>
 #include <sstream>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/sim_fault.h"
 
@@ -328,10 +329,7 @@ deriveSeed(std::uint64_t base, std::uint64_t task_index)
     // bits so a derived seed survives the JSON number path (exact in
     // double, and short enough for the writer's %.10g) and can be fed
     // back to `pim_stress --seed=` verbatim.
-    std::uint64_t z = base + 0x9e3779b97f4a7c15ULL * (task_index + 1);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    z ^= z >> 31;
+    const std::uint64_t z = mix64(base + 0x9e3779b97f4a7c15ULL * task_index);
     return (z >> 32) ^ (z & 0xffffffffULL);
 }
 

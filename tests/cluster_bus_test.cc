@@ -2,9 +2,9 @@
  * @file
  * Clustered snooping-bus topology tests (docs/ARCHITECTURE.md).
  *
- * Three layers: unit tests of ClusterConfig/ClusterTopology (partition
- * arithmetic and per-bus reservation timing), the InterClusterDirectory
- * (cluster-residency sets maintained from the residency filter), and
+ * Two layers: unit tests of ClusterConfig/ClusterTopology (partition
+ * arithmetic and per-bus reservation timing; the residency masks' cluster
+ * queries the routes come from are tested in residency_filter_test), and
  * system-level behavior — protocol outcomes identical to the single
  * bus, hop cycles accounted exactly (totalCycles = pattern sum +
  * interClusterCycles), zero hops for cluster-local traffic, and the
@@ -17,8 +17,6 @@
 #include <vector>
 
 #include "bus/cluster_bus.h"
-#include "bus/intercluster_directory.h"
-#include "bus/residency_filter.h"
 #include "common/rng.h"
 #include "obs/attribution.h"
 #include "sim/system.h"
@@ -55,10 +53,11 @@ TEST(ClusterTopologyUnit, EnabledNeedsTwoClusters)
     ClusterTopology topo(config);
     for (PeId pe = 0; pe < 4; ++pe)
         topo.registerPe(pe);
-    // All four PEs share cluster 0: still effectively a single bus.
-    EXPECT_FALSE(topo.enabled());
+    // All four PEs share cluster 0: still the single bus, with no remote
+    // cluster for a route to reserve.
+    EXPECT_EQ(topo.numClusters(), 1u);
+    EXPECT_EQ(topo.allRemote(0), 0u);
     topo.registerPe(4);
-    EXPECT_TRUE(topo.enabled());
     EXPECT_EQ(topo.numClusters(), 2u);
     EXPECT_EQ(topo.allRemote(0), 0b10ull);
     EXPECT_EQ(topo.allRemote(1), 0b01ull);
@@ -84,62 +83,6 @@ TEST(ClusterTopologyUnit, DisjointRoutesOverlapSharedRoutesSerialize)
     // Cluster 3 itself is still free.
     EXPECT_EQ(topo.arbitrate(3, 0, 10), 10u);
     EXPECT_EQ(topo.clusterFreeAt(2), 60u);
-}
-
-// ---------------------------------------------------------------------
-// InterClusterDirectory units.
-// ---------------------------------------------------------------------
-
-TEST(InterClusterDirectoryUnit, TracksClusterResidencySets)
-{
-    ClusterConfig config;
-    config.clusterSize = 2;
-    ResidencyFilter filter;
-    filter.setBlockWords(4);
-    for (PeId pe = 0; pe < 6; ++pe)
-        filter.registerPe(pe);
-    InterClusterDirectory dir;
-    dir.configure(config, 4);
-    ASSERT_TRUE(dir.tracking());
-
-    // PEs 0 (cluster 0) and 5 (cluster 2) take copies of block 8.
-    filter.addCopy(0, 8);
-    dir.noteCopy(0, 8, true, filter);
-    filter.addCopy(5, 8);
-    dir.noteCopy(5, 8, true, filter);
-    EXPECT_EQ(dir.copyClusters(8), 0b101ull);
-    EXPECT_EQ(dir.lockClusters(8), 0u);
-
-    // PE 4 shares cluster 2 with PE 5: the bit is already set, and it
-    // must survive PE 5's departure while PE 4 still holds a copy.
-    filter.addCopy(4, 8);
-    dir.noteCopy(4, 8, true, filter);
-    filter.removeCopy(5, 8);
-    dir.noteCopy(5, 8, false, filter);
-    EXPECT_EQ(dir.copyClusters(8), 0b101ull);
-
-    // Last departure from cluster 2 clears its bit.
-    filter.removeCopy(4, 8);
-    dir.noteCopy(4, 8, false, filter);
-    EXPECT_EQ(dir.copyClusters(8), 0b001ull);
-
-    // Locks are tracked independently of copies.
-    filter.setLockResident(3, 8, true);
-    dir.noteLock(3, 8, true, filter);
-    EXPECT_EQ(dir.lockClusters(8), 0b010ull);
-    EXPECT_EQ(dir.copyClusters(8), 0b001ull);
-    filter.setLockResident(3, 8, false);
-    dir.noteLock(3, 8, false, filter);
-    EXPECT_EQ(dir.lockClusters(8), 0u);
-}
-
-TEST(InterClusterDirectoryUnit, DisabledOnSingleBus)
-{
-    InterClusterDirectory dir;
-    dir.configure(ClusterConfig{}, 4);
-    EXPECT_FALSE(dir.tracking());
-    EXPECT_EQ(dir.copyClusters(8), 0u);
-    EXPECT_EQ(dir.lockClusters(8), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -208,7 +151,7 @@ TEST(ClusteredSystem, ClusterLocalTrafficPaysNoHops)
     // PEs 0 and 1 share cluster 0 of a 2-cluster machine; all their
     // read/write sharing stays on their own bus and bank port.
     System system(clusteredConfig(4, 2));
-    ASSERT_TRUE(system.bus().clusters().enabled());
+    ASSERT_EQ(system.bus().clusters().numClusters(), 2u);
     Rng rng(7);
     for (int step = 0; step < 500; ++step) {
         const PeId pe = static_cast<PeId>(rng.below(2));
@@ -313,8 +256,8 @@ TEST(ClusteredSystem, AttributionCrossCheckHoldsWithClustering)
 
 TEST(ClusteredSystem, WideClusteredMachineStaysExact)
 {
-    // 128 PEs in 16 clusters: multi-word masks and the directory work
-    // together; protocol content still matches the single bus.
+    // 128 PEs in 16 clusters: routes come from multi-word masks;
+    // protocol content still matches the single bus.
     System single(clusteredConfig(128, 0));
     System clustered(clusteredConfig(128, 8, 2));
     Rng rng(5);

@@ -124,18 +124,108 @@ TEST(ResidencyFilterUnit, RegisterAfterContentRelaysExistingMasks)
 
 TEST(ResidencyFilterUnit, RangeQueriesRespectWordBoundaries)
 {
+    // Cluster queries over multi-word masks: a cluster is a PE range,
+    // and ranges must line up with the mask words on either side.
     ResidencyFilter filter;
     filter.setBlockWords(4);
     filter.registerPe(191);
     filter.addCopy(64, 8);
     filter.setLockResident(127, 8, true);
-    EXPECT_FALSE(filter.anyCopyInRange(8, 0, 64));
-    EXPECT_TRUE(filter.anyCopyInRange(8, 64, 65));
-    EXPECT_TRUE(filter.anyCopyInRange(8, 0, 128));
-    EXPECT_FALSE(filter.anyCopyInRange(8, 65, 192));
-    EXPECT_FALSE(filter.anyLockInRange(8, 0, 127));
-    EXPECT_TRUE(filter.anyLockInRange(8, 127, 128));
-    EXPECT_FALSE(filter.anyLockInRange(8, 128, 192));
+    EXPECT_EQ(filter.copyClusters(8, 64), 0b010ull);
+    EXPECT_EQ(filter.lockClusters(8, 64), 0b010ull);
+    EXPECT_EQ(filter.copyClusters(8, 65), 0b001ull);
+    EXPECT_EQ(filter.lockClusters(8, 65), 0b010ull);
+    EXPECT_EQ(filter.copyClusters(8, 4), 1ull << 16);
+    EXPECT_EQ(filter.lockClusters(8, 4), 1ull << 31);
+    // A block never touched has no clusters.
+    EXPECT_EQ(filter.copyClusters(4096, 4), 0u);
+    EXPECT_EQ(filter.lockClusters(4096, 4), 0u);
+}
+
+TEST(ResidencyFilterUnit, ClusterQueriesSummarizeMasks)
+{
+    ResidencyFilter filter;
+    filter.setBlockWords(4);
+    for (PeId pe = 0; pe < 6; ++pe)
+        filter.registerPe(pe);
+
+    // PEs 0 (cluster 0) and 5 (cluster 2) take copies of block 8.
+    filter.addCopy(0, 8);
+    filter.addCopy(5, 8);
+    EXPECT_EQ(filter.copyClusters(8, 2), 0b101ull);
+    EXPECT_EQ(filter.lockClusters(8, 2), 0u);
+
+    // PE 4 shares cluster 2 with PE 5: the bit must survive PE 5's
+    // departure while PE 4 still holds a copy.
+    filter.addCopy(4, 8);
+    filter.removeCopy(5, 8);
+    EXPECT_EQ(filter.copyClusters(8, 2), 0b101ull);
+
+    // Last departure from cluster 2 clears its bit.
+    filter.removeCopy(4, 8);
+    EXPECT_EQ(filter.copyClusters(8, 2), 0b001ull);
+
+    // Locks are summarized independently of copies.
+    filter.setLockResident(3, 8, true);
+    EXPECT_EQ(filter.lockClusters(8, 2), 0b010ull);
+    EXPECT_EQ(filter.copyClusters(8, 2), 0b001ull);
+    filter.setLockResident(3, 8, false);
+    EXPECT_EQ(filter.lockClusters(8, 2), 0u);
+
+    // Cluster 21 (PEs 63..65 at cluster size 3) straddles the first
+    // mask word: either half alone sets its bit, and no other bit.
+    filter.registerPe(65);
+    filter.addCopy(63, 12);
+    EXPECT_EQ(filter.copyClusters(12, 3), 1ull << 21);
+    filter.addCopy(64, 12);
+    EXPECT_EQ(filter.copyClusters(12, 3), 1ull << 21);
+    filter.removeCopy(63, 12);
+    EXPECT_EQ(filter.copyClusters(12, 3), 1ull << 21);
+    filter.setLockResident(62, 12, true);
+    filter.setLockResident(65, 12, true);
+    EXPECT_EQ(filter.lockClusters(12, 3), (1ull << 20) | (1ull << 21));
+    filter.removeCopy(64, 12);
+    EXPECT_EQ(filter.copyClusters(12, 3), 0u);
+}
+
+TEST(ResidencyFilterUnit, ClusterQueriesMatchPerPeMasksAt1024Pes)
+{
+    // The widest machine the tools accept clustered (1024 PEs, 16
+    // words per mask): after random copy/lock churn, each cluster set
+    // equals the clusters of the PEs in the per-PE mask, for cluster
+    // sizes that align with mask words (16, 64) and that do not (17,
+    // 33, 100).
+    constexpr PeId kPes = 1024;
+    ResidencyFilter filter;
+    filter.setBlockWords(4);
+    filter.registerPe(kPes - 1);
+    Rng rng(21);
+    // A few dozen holders per block: most clusters are empty or partly
+    // held, and holders often share a cluster or a mask word.
+    for (int step = 0; step < 2000; ++step) {
+        const PeId pe = static_cast<PeId>(rng.below(kPes));
+        const Addr block = 4 * rng.below(16);
+        switch (rng.below(4)) {
+        case 0: filter.addCopy(pe, block); break;
+        case 1: filter.removeCopy(pe, block); break;
+        case 2: filter.setLockResident(pe, block, true); break;
+        default: filter.setLockResident(pe, block, false); break;
+        }
+    }
+    for (std::uint32_t size : {16u, 17u, 33u, 64u, 100u}) {
+        for (Addr block = 0; block < 64; block += 4) {
+            std::uint64_t copies = 0;
+            filter.copyMask(block).forEach(
+                [&](PeId pe) { copies |= 1ull << (pe / size); });
+            std::uint64_t locks = 0;
+            filter.lockMask(block).forEach(
+                [&](PeId pe) { locks |= 1ull << (pe / size); });
+            EXPECT_EQ(filter.copyClusters(block, size), copies)
+                << "size " << size << " block " << block;
+            EXPECT_EQ(filter.lockClusters(block, size), locks)
+                << "size " << size << " block " << block;
+        }
+    }
 }
 
 TEST(ResidencyFilterUnit, NonPowerOfTwoBlockWordsStillIndexes)

@@ -63,6 +63,12 @@ TEST(SystemValidate, RejectsBadConfigsWithDescriptiveFaults)
     Case unaligned{"memoryWords", smallConfig()};
     unaligned.config.memoryWords = 1022; // Not a multiple of 4.
     cases.push_back(unaligned);
+    // 65 clusters: one more than a 64-bit route mask holds.
+    Case clusters{"clusterSize", smallConfig(130)};
+    clusters.config.cluster.clusterSize = 2;
+    cases.push_back(clusters);
+    // One PE past the residency masks' 4096-PE width.
+    cases.push_back({"numPes", smallConfig(4097)});
 
     for (const Case& c : cases) {
         try {
