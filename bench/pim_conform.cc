@@ -25,10 +25,17 @@
  * reproducer needs more than N commands.
  *
  * Unknown options exit 1: a mistyped or retired flag must not silently
- * run a different check.
+ * run a different check. For the same reason a count option (--pes,
+ * --blocks, --ways, --sets, --lock-entries, --depth, --max-states,
+ * --traces, --len, --max-shrunk) that is negative or not a decimal
+ * integer exits 2, like an unknown mutation, protocol or policy name.
+ * A configuration the System rejects (say --block-words=3) is a
+ * SimFault(Config), exit 10.
  */
 
+#include <charconv>
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "common/options.h"
@@ -41,18 +48,46 @@ using namespace pim;
 
 namespace {
 
+/**
+ * Value of the count option --@p name, or @p fallback when it is
+ * absent. Exits 2 unless the value is a decimal integer in [0, @p max]:
+ * a negative count used to wrap to about 4 billion, and a non-numeric
+ * one to read as zero, and either ran a different check than asked.
+ */
+std::uint64_t
+countOption(const Options& opt, const char* name, std::uint64_t fallback,
+            std::uint64_t max = std::numeric_limits<std::uint32_t>::max())
+{
+    if (!opt.has(name))
+        return fallback;
+    const std::string text = opt.getString(name);
+    const char* const end = text.data() + text.size();
+    std::uint64_t value = 0;
+    const auto [stop, error] = std::from_chars(text.data(), end, value);
+    if (text.empty() || error != std::errc() || stop != end || value > max) {
+        std::fprintf(stderr,
+                     "pim_conform: --%s needs a non-negative integer of at "
+                     "most %llu (got '%s')\n",
+                     name, static_cast<unsigned long long>(max),
+                     text.c_str());
+        std::exit(2);
+    }
+    return value;
+}
+
 HarnessConfig
 harnessFromOptions(const Options& opt)
 {
     HarnessConfig config;
-    config.numPes = static_cast<std::uint32_t>(opt.getInt("pes", 2));
-    config.blocks = static_cast<std::uint32_t>(opt.getInt("blocks", 1));
+    config.numPes = static_cast<std::uint32_t>(countOption(opt, "pes", 2));
+    config.blocks =
+        static_cast<std::uint32_t>(countOption(opt, "blocks", 1));
     config.blockWords =
         static_cast<std::uint32_t>(opt.getInt("block-words", 2));
-    config.ways = static_cast<std::uint32_t>(opt.getInt("ways", 1));
-    config.sets = static_cast<std::uint32_t>(opt.getInt("sets", 1));
+    config.ways = static_cast<std::uint32_t>(countOption(opt, "ways", 1));
+    config.sets = static_cast<std::uint32_t>(countOption(opt, "sets", 1));
     config.lockEntries =
-        static_cast<std::uint32_t>(opt.getInt("lock-entries", 2));
+        static_cast<std::uint32_t>(countOption(opt, "lock-entries", 2));
     config.clusterSize =
         static_cast<std::uint32_t>(opt.getInt("cluster-size", 0));
     config.hopCycles =
@@ -96,9 +131,13 @@ printDivergence(const std::string& message,
                 traceToString(trace).c_str());
 }
 
-/** Exit code honoring --expect-divergence and --max-shrunk. */
+/**
+ * Exit code honoring --expect-divergence and --max-shrunk (@p max_shrunk,
+ * the largest reproducer accepted).
+ */
 int
-verdict(const Options& opt, bool diverged, std::size_t shrunk_len)
+verdict(const Options& opt, bool diverged, std::size_t shrunk_len,
+        std::size_t max_shrunk)
 {
     const bool expect = opt.getBool("expect-divergence");
     if (expect && !diverged) {
@@ -107,15 +146,11 @@ verdict(const Options& opt, bool diverged, std::size_t shrunk_len)
     }
     if (!expect && diverged)
         return 1;
-    if (expect && opt.has("max-shrunk")) {
-        const std::size_t cap =
-            static_cast<std::size_t>(opt.getInt("max-shrunk", 0));
-        if (shrunk_len > cap) {
-            std::printf("FAIL: shrunk reproducer has %zu commands, "
-                        "cap is %zu\n",
-                        shrunk_len, cap);
-            return 1;
-        }
+    if (expect && shrunk_len > max_shrunk) {
+        std::printf("FAIL: shrunk reproducer has %zu commands, "
+                    "cap is %zu\n",
+                    shrunk_len, max_shrunk);
+        return 1;
     }
     std::printf("OK\n");
     return 0;
@@ -156,6 +191,16 @@ main(int argc, char** argv)
     }
 
     const HarnessConfig harness = harnessFromOptions(opt);
+    // Every count is checked before any mode runs, used or not.
+    const auto traces =
+        static_cast<std::uint32_t>(countOption(opt, "traces", 20));
+    const auto len = static_cast<std::uint32_t>(countOption(opt, "len", 200));
+    const auto depth = static_cast<std::uint32_t>(countOption(opt, "depth", 8));
+    const std::uint64_t max_states = countOption(
+        opt, "max-states", 500000, std::numeric_limits<std::uint64_t>::max());
+    const std::size_t no_cap = std::numeric_limits<std::size_t>::max();
+    const auto max_shrunk = static_cast<std::size_t>(
+        countOption(opt, "max-shrunk", no_cap, no_cap));
 
     try {
         if (opt.has("replay")) {
@@ -179,16 +224,15 @@ main(int argc, char** argv)
                             replayer.checksRun()));
             if (diverged)
                 printDivergence(message, trace);
-            return verdict(opt, diverged, trace.size());
+            return verdict(opt, diverged, trace.size(), max_shrunk);
         }
 
         if (opt.getBool("fuzz")) {
             FuzzConfig config;
             config.harness = harness;
             config.seed = static_cast<std::uint64_t>(opt.getInt("seed", 1));
-            config.traces =
-                static_cast<std::uint32_t>(opt.getInt("traces", 20));
-            config.len = static_cast<std::uint32_t>(opt.getInt("len", 200));
+            config.traces = traces;
+            config.len = len;
             config.shrink = !opt.getBool("no-shrink");
             const FuzzResult result = fuzz(config);
             std::printf("fuzz: %llu traces, %llu commands, protocol=%s, "
@@ -206,14 +250,14 @@ main(int argc, char** argv)
                                     : result.shrunkMessage,
                                 result.shrunk);
             }
-            return verdict(opt, result.divergence, result.shrunk.size());
+            return verdict(opt, result.divergence, result.shrunk.size(),
+                           max_shrunk);
         }
 
         ExploreConfig config;
         config.harness = harness;
-        config.depth = static_cast<std::uint32_t>(opt.getInt("depth", 8));
-        config.maxStates = static_cast<std::uint64_t>(
-            opt.getInt("max-states", 500000));
+        config.depth = depth;
+        config.maxStates = max_states;
         const ExploreResult result = explore(config);
         std::printf("explore: %llu states, %llu edges, %llu step checks, "
                     "depth=%u, protocol=%s, mutation=%s%s\n",
@@ -227,7 +271,7 @@ main(int argc, char** argv)
             printDivergence(result.divergenceMessage,
                             result.divergenceTrace);
         return verdict(opt, result.divergence,
-                       result.divergenceTrace.size());
+                       result.divergenceTrace.size(), max_shrunk);
     } catch (const SimFault& fault) {
         std::fprintf(stderr, "pim_conform: error: kind=%s exit=%d %s\n",
                      simFaultKindName(fault.kind()),

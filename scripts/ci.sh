@@ -52,8 +52,8 @@ cluster_smoke() {
 }
 
 # Protocol & replacement-policy zoo gate (docs/ARCHITECTURE.md
-# "Protocol matrix"): a short differential fuzz of every non-default
-# coherence protocol, the fig_zoo table byte-compared against its
+# "Protocol matrix"): a short differential fuzz and a clustered
+# exploration of every non-default coherence protocol, the fig_zoo table byte-compared against its
 # golden (pinning the PIM baseline column), and the --json document
 # validated against the `zoo` schema.
 zoo_smoke() {
@@ -63,6 +63,11 @@ zoo_smoke() {
     for proto in msi mesi moesi dragon; do
         "${dir}/bench/pim_conform" --fuzz --protocol="${proto}" \
             --pes=3 --blocks=2 --sets=2 --seed=11 --traces=10 --len=100
+        # Every edge of an exploration branches from a copied state, so
+        # this runs the state copy under each protocol on the clustered
+        # topology (one PE per cluster: every transaction crosses).
+        "${dir}/bench/pim_conform" --protocol="${proto}" \
+            --pes=3 --blocks=1 --depth=4 --cluster-size=1
     done
     "${dir}/bench/fig_zoo" --scale 1 --pes 2 \
         --json="${dir}/BENCH_fig_zoo.json" > "${dir}/fig_zoo.txt"

@@ -31,6 +31,19 @@ Bus::attach(PeId pe, BusSnooper* cache, LockSnooper* locks)
 }
 
 void
+Bus::copyStateFrom(const Bus& other)
+{
+    PIM_ASSERT(timing_ == other.timing_ &&
+                   clusters_.config() == other.clusters_.config() &&
+                   ports_.size() == other.ports_.size(),
+               "copying the state of a differently configured bus");
+    residency_.copyStateFrom(other.residency_);
+    clusters_ = other.clusters_; // same partition: copies the freeAt times
+    stats_ = other.stats_;
+    purgedDirty_ = other.purgedDirty_;
+}
+
+void
 Bus::setUnlockListener(UnlockListener* listener)
 {
     unlockListener_ = listener;

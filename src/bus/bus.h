@@ -151,6 +151,8 @@ struct BusStats {
     }
 
     void clear() { *this = BusStats{}; }
+
+    bool operator==(const BusStats&) const = default;
 };
 
 /** Result of an F/FI transaction. */
@@ -316,6 +318,15 @@ class Bus
      */
     void snapshotPurgeMarks(Addr lo, Addr hi,
                             std::vector<std::uint64_t>& out) const;
+
+    /**
+     * Make the bus's mutable state equal @p other's: statistics,
+     * residency masks, each cluster bus's busy-until time and the purge
+     * marks. Ports, the unlock listener, the sink and the injector stay
+     * as wired. Both buses must have the same timing, topology and
+     * attached PE count (asserted); shared memory is copied by its owner.
+     */
+    void copyStateFrom(const Bus& other);
 
     /** Read a block from shared memory without bus involvement (init). */
     void readMemoryBlock(Addr block_addr, Word* data_out) const;

@@ -74,6 +74,8 @@ struct ClusterConfig {
             return 1;
         return (num_pes + clusterSize - 1) / clusterSize;
     }
+
+    bool operator==(const ClusterConfig&) const = default;
 };
 
 /**

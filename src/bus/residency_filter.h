@@ -41,6 +41,7 @@
 #ifndef PIMCACHE_BUS_RESIDENCY_FILTER_H_
 #define PIMCACHE_BUS_RESIDENCY_FILTER_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -228,6 +229,21 @@ class ResidencyFilter
         walk(locks_, block, skip, fn);
     }
 
+    /**
+     * Make both mask sets equal @p other's (same block size and mask
+     * width, asserted): pages present only in @p other are
+     * materialized, pages absent from it are dropped.
+     */
+    void
+    copyStateFrom(const ResidencyFilter& other)
+    {
+        PIM_ASSERT(blockWords_ == other.blockWords_ &&
+                       maskWords_ == other.maskWords_,
+                   "copying a residency filter of a different shape");
+        copyStore(copies_, other.copies_);
+        copyStore(locks_, other.locks_);
+    }
+
     /** Blocks with at least one cached copy (introspection). */
     std::size_t trackedCopyBlocks() const { return nonZero(copies_); }
 
@@ -238,6 +254,9 @@ class ResidencyFilter
     /** Pages of kPageBlocks entries, maskWords_ words each. */
     struct MaskStore {
         std::vector<std::unique_ptr<std::uint64_t[]>> pages;
+        /** One past the highest entry index ever set: every entry at or
+         *  past it is zero, so a copy can stop there. */
+        std::size_t extent = 0;
     };
 
     static std::uint64_t bit(PeId pe) { return 1ull << (pe & 63); }
@@ -253,6 +272,8 @@ class ResidencyFilter
     std::uint64_t*
     entry(MaskStore& store, std::size_t index)
     {
+        if (index >= store.extent)
+            store.extent = index + 1;
         const std::size_t page = index / kPageBlocks;
         if (page >= store.pages.size())
             store.pages.resize(page + 1);
@@ -342,6 +363,30 @@ class ResidencyFilter
                 mask &= mask - 1;
             }
         }
+    }
+
+    void
+    copyStore(MaskStore& to, const MaskStore& from) const
+    {
+        // Entries past both extents are zero on both sides.
+        const std::size_t extent = std::max(to.extent, from.extent);
+        to.pages.resize(from.pages.size());
+        for (std::size_t p = 0; p < from.pages.size(); ++p) {
+            if (from.pages[p] == nullptr) {
+                to.pages[p].reset();
+                continue;
+            }
+            if (to.pages[p] == nullptr) {
+                to.pages[p] = std::make_unique<std::uint64_t[]>(
+                    kPageBlocks * maskWords_);
+            }
+            const std::size_t first = p * kPageBlocks;
+            const std::size_t entries =
+                first >= extent ? 0 : std::min(kPageBlocks, extent - first);
+            std::copy_n(from.pages[p].get(), entries * maskWords_,
+                        to.pages[p].get());
+        }
+        to.extent = from.extent;
     }
 
     std::size_t

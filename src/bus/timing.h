@@ -107,6 +107,8 @@ struct BusTiming {
     {
         return 1 + (1 + widthWords - 1) / widthWords;
     }
+
+    bool operator==(const BusTiming&) const = default;
 };
 
 /** Bus transaction categories, for accounting. */

@@ -66,6 +66,8 @@ struct CacheStats {
                              : static_cast<double>(misses) /
                                    static_cast<double>(accesses);
     }
+
+    bool operator==(const CacheStats&) const = default;
 };
 
 } // namespace pim

@@ -79,6 +79,8 @@ struct CacheGeometry {
             static_cast<std::uint64_t>(sets) * ways * (tag_bits + 3 + 2);
         return data_bits + dir_bits;
     }
+
+    bool operator==(const CacheGeometry&) const = default;
 };
 
 /** Full per-PE cache controller configuration. */
@@ -119,6 +121,8 @@ struct CacheConfig {
 
     /** Seed for the random replacement policy's xorshift64. */
     std::uint64_t replacementSeed = 1;
+
+    bool operator==(const CacheConfig&) const = default;
 };
 
 } // namespace pim

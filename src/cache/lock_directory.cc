@@ -22,6 +22,16 @@ LockDirectory::LockDirectory(PeId owner, std::uint32_t entries, Bus* bus,
 }
 
 void
+LockDirectory::copyStateFrom(const LockDirectory& other)
+{
+    PIM_ASSERT(owner_ == other.owner_ && entries_ == other.entries_ &&
+                   blockWords_ == other.blockWords_,
+               "copying a lock directory of a different shape");
+    slots_ = other.slots_;
+    ghosts_ = other.ghosts_;
+}
+
+void
 LockDirectory::refreshResidency(Addr word_addr)
 {
     if (bus_ == nullptr)
@@ -73,6 +83,19 @@ LockDirectory::holds(Addr word_addr) const
     for (const Entry& slot : slots_) {
         if (slot.state != LockState::EMP && slot.addr == word_addr)
             return true;
+    }
+    return false;
+}
+
+bool
+LockDirectory::holdsInBlock(Addr block_base,
+                            std::uint32_t block_words) const
+{
+    for (const Entry& slot : slots_) {
+        if (slot.state != LockState::EMP &&
+            slot.addr - slot.addr % block_words == block_base) {
+            return true;
+        }
     }
     return false;
 }

@@ -50,6 +50,12 @@ class LockDirectory : public LockSnooper
     /** True if this PE currently holds a lock on @p word_addr. */
     bool holds(Addr word_addr) const;
 
+    /**
+     * True if this PE holds a lock on any word of the @p block_words
+     * -word block at @p block_base.
+     */
+    bool holdsInBlock(Addr block_base, std::uint32_t block_words) const;
+
     /** State of the entry for @p word_addr (EMP if absent). */
     LockState stateOf(Addr word_addr) const;
 
@@ -76,6 +82,13 @@ class LockDirectory : public LockSnooper
      * state snapshot used by the conformance engine (src/model).
      */
     void snapshotState(std::vector<std::uint64_t>& out) const;
+
+    /**
+     * Make the entries and ghosts equal @p other's (same owner and
+     * capacity, asserted). The bus residency masks are copied with the
+     * bus, so no residency note is sent.
+     */
+    void copyStateFrom(const LockDirectory& other);
 
     /**
      * Attach a fault injector (nullptr to detach). Sites: LostUnlock (a

@@ -36,6 +36,19 @@ PimCache::PimCache(PeId pe, const CacheConfig& config, Bus& bus)
     bus_.attach(pe_, this, &locks_);
 }
 
+void
+PimCache::copyStateFrom(const PimCache& other)
+{
+    PIM_ASSERT(pe_ == other.pe_ && config_ == other.config_,
+               "copying the state of a different cache");
+    rngState_ = other.rngState_;
+    locks_.copyStateFrom(other.locks_);
+    stats_ = other.stats_;
+    lruTick_ = other.lruTick_;
+    blocks_ = other.blocks_;
+    data_ = other.data_;
+}
+
 std::uint32_t
 PimCache::setIndexOf(Addr block_base) const
 {

@@ -109,6 +109,14 @@ class PimCache : public BusSnooper
     }
 
     /**
+     * Make this cache's mutable state equal @p other's: blocks, data,
+     * LRU tick, replacement RNG, statistics and the lock directory. The
+     * bus, sink, injector and armed mutation stay as wired. Both caches
+     * must serve the same PE with the same configuration (asserted).
+     */
+    void copyStateFrom(const PimCache& other);
+
+    /**
      * Append a canonical description of this cache's protocol state to
      * @p out: every valid block with base in [@p lo, @p hi) in address
      * order (base, state, LRU rank within its set, data words), then the

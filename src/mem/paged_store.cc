@@ -1,5 +1,7 @@
 #include "mem/paged_store.h"
 
+#include <algorithm>
+
 #include "common/xassert.h"
 
 namespace pim {
@@ -52,6 +54,29 @@ PagedStore::writeSpan(Addr addr, std::uint32_t count, const Word* data)
     Word* words = &pageFor(addr).words[addr % kPageWords];
     for (std::uint32_t w = 0; w < count; ++w)
         words[w] = data[w];
+}
+
+void
+PagedStore::copyStateFrom(const PagedStore& other)
+{
+    PIM_ASSERT(totalWords_ == other.totalWords_,
+               "copying a store of a different size");
+    for (std::size_t p = 0; p < pages_.size(); ++p) {
+        const std::unique_ptr<Page>& from = other.pages_[p];
+        std::unique_ptr<Page>& to = pages_[p];
+        if (from == nullptr) {
+            to.reset();
+            continue;
+        }
+        if (to == nullptr)
+            to = std::make_unique<Page>();
+        // Words past the end of memory are never addressed and stay zero
+        // in both stores, so a small memory copies only its own words.
+        const std::uint64_t words =
+            std::min(kPageWords, totalWords_ - p * kPageWords);
+        std::copy_n(from->words, words, to->words);
+    }
+    pagesAllocated_ = other.pagesAllocated_;
 }
 
 PagedStore::Page&

@@ -43,6 +43,14 @@ class PagedStore
     /** Write @p count consecutive words; same alignment contract. */
     void writeSpan(Addr addr, std::uint32_t count, const Word* data);
 
+    /**
+     * Make this store's contents equal @p other's (same size, asserted):
+     * pages present only in @p other are materialized, pages absent
+     * from it are dropped. The conformance explorer branches successor
+     * states with it (src/model/explorer.h).
+     */
+    void copyStateFrom(const PagedStore& other);
+
     /** Size of the address space in words. */
     std::uint64_t totalWords() const { return totalWords_; }
 

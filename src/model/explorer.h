@@ -11,10 +11,16 @@
  * battery; the first divergence stops the search with the exact command
  * trace that reached it.
  *
- * The System is deliberately not copyable (it owns caches wired to a
- * bus), so successor states are reconstructed by replaying the command
- * prefix on a fresh harness — O(depth) per edge, which small
- * configurations (2-3 PEs, 1-2 blocks) afford easily.
+ * Successors branch instead of replaying: every edge copies its node's
+ * whole lock-stepped state into one scratch harness
+ * (ConformanceHarness::copyStateFrom, which leaves the wiring of
+ * sinks and listeners alone) and steps the one command. The search
+ * holds one harness per depth along the path to the last node built;
+ * a popped node re-steps only the part of its trace past the prefix it
+ * shares with that node, which in BFS order is usually its last
+ * command. A harness carries whole memory and residency pages, so the
+ * frontier keeps traces, not harnesses. Visited states are keyed by
+ * the exact snapshot, never by a hash of it that could collide.
  */
 
 #ifndef PIMCACHE_MODEL_EXPLORER_H_
@@ -38,8 +44,13 @@ struct ExploreConfig {
 /** Outcome of one exploration. */
 struct ExploreResult {
     std::uint64_t states = 0; ///< Distinct canonical states reached.
-    std::uint64_t edges = 0;  ///< Commands executed (with full checks).
-    std::uint64_t checks = 0; ///< Cross-check groups run.
+    std::uint64_t edges = 0;  ///< Commands tried from expanded nodes.
+    /**
+     * Harness steps the search ran, each with the full cross-check
+     * battery: one per edge plus one per node rebuilt past the prefix
+     * it shares with the node built before it.
+     */
+    std::uint64_t checks = 0;
     bool truncated = false;   ///< maxStates hit before the depth bound.
     bool divergence = false;
     std::string divergenceMessage;

@@ -31,10 +31,18 @@ makeSystemConfig(const HarnessConfig& config)
     return sys;
 }
 
+/** @p config, once its System config validates (throws otherwise). */
+const HarnessConfig&
+validated(const HarnessConfig& config)
+{
+    makeSystemConfig(config);
+    return config;
+}
+
 } // namespace
 
 ConformanceHarness::ConformanceHarness(const HarnessConfig& config)
-    : config_(config),
+    : config_(validated(config)),
       golden_(protocolGoldenTable(config.protocol)),
       ref_(config.numPes, config.blockWords,
            std::max<std::uint64_t>(config.spanWords(), config.blockWords),
@@ -43,7 +51,8 @@ ConformanceHarness::ConformanceHarness(const HarnessConfig& config)
       attribution_(config.numPes, sys_.config().timing, config.blockWords,
                    config.ways * config.sets),
       pending_(config.numPes),
-      hasPending_(config.numPes, false)
+      hasPending_(config.numPes, false),
+      preState_(config.numPes)
 {
     for (PeId pe = 0; pe < config_.numPes; ++pe)
         sys_.cache(pe).setProtocolMutation(config.mutation);
@@ -55,6 +64,19 @@ ConformanceHarness::~ConformanceHarness()
     // Divergences throw out of step() mid-protocol; waiters the trace
     // never got to retry are expected, not a driver leak.
     sys_.abandonParkedWaiters();
+}
+
+void
+ConformanceHarness::copyStateFrom(const ConformanceHarness& other)
+{
+    PIM_ASSERT(config_ == other.config_,
+               "copying the state of a differently configured harness");
+    ref_ = other.ref_;
+    sys_.copyStateFrom(other.sys_);
+    attribution_.copyStateFrom(other.attribution_);
+    pending_ = other.pending_;
+    hasPending_ = other.hasPending_;
+    checks_ = other.checks_;
 }
 
 bool
@@ -140,25 +162,23 @@ ConformanceHarness::enabledCommands() const
         const Word uw_val = config_.numPes + pe + 1;
         const Word dw_val = 2 * config_.numPes + pe + 1;
 
-        std::vector<ProtoCmd> candidates;
-        for (Addr addr = 0; addr < span; ++addr) {
-            candidates.push_back({pe, MemOp::R, addr, 0});
-            candidates.push_back({pe, MemOp::W, addr, w_val});
-            candidates.push_back({pe, MemOp::LR, addr, 0});
-            candidates.push_back({pe, MemOp::ER, addr, 0});
-            candidates.push_back({pe, MemOp::RP, addr, 0});
-            candidates.push_back({pe, MemOp::RI, addr, 0});
-            candidates.push_back({pe, MemOp::UW, addr, uw_val});
-            candidates.push_back({pe, MemOp::U, addr, 0});
-        }
-        for (Addr base = 0; base < span; base += config_.blockWords) {
-            candidates.push_back({pe, MemOp::DW, base, dw_val});
-            candidates.push_back(
-                {pe, MemOp::DWD, base + config_.blockWords - 1, dw_val});
-        }
-        for (const ProtoCmd& cmd : candidates) {
+        const auto consider = [&](const ProtoCmd& cmd) {
             if (enabled(cmd))
                 out.push_back(cmd);
+        };
+        for (Addr addr = 0; addr < span; ++addr) {
+            consider({pe, MemOp::R, addr, 0});
+            consider({pe, MemOp::W, addr, w_val});
+            consider({pe, MemOp::LR, addr, 0});
+            consider({pe, MemOp::ER, addr, 0});
+            consider({pe, MemOp::RP, addr, 0});
+            consider({pe, MemOp::RI, addr, 0});
+            consider({pe, MemOp::UW, addr, uw_val});
+            consider({pe, MemOp::U, addr, 0});
+        }
+        for (Addr base = 0; base < span; base += config_.blockWords) {
+            consider({pe, MemOp::DW, base, dw_val});
+            consider({pe, MemOp::DWD, base + config_.blockWords - 1, dw_val});
         }
     }
     return out;
@@ -174,7 +194,8 @@ ConformanceHarness::step(const ProtoCmd& cmd)
     const std::uint32_t bw = config_.blockWords;
     const bool last_word = cmd.addr == base + bw - 1;
     const PimCache& own = sys_.cache(cmd.pe);
-    const std::string ctx = "step " + cmdToString(cmd);
+    const auto describe_step = [&cmd] { return "step " + cmdToString(cmd); };
+    const CheckContext ctx(describe_step);
 
     // Contract facts from the System's pre-state: does this DW allocate
     // without a fetch, does this ER/RP drop the only dirty copy?
@@ -200,7 +221,7 @@ ConformanceHarness::step(const ProtoCmd& cmd)
     }
 
     // Pre-state for the op-specific checks.
-    std::vector<CacheState> pre_state(config_.numPes);
+    std::vector<CacheState>& pre_state = preState_;
     for (PeId q = 0; q < config_.numPes; ++q)
         pre_state[q] = sys_.cache(q).stateOf(base);
     const BusStats pre_bus = sys_.bus().stats();
@@ -502,8 +523,16 @@ ConformanceHarness::replayLenient(const std::vector<ProtoCmd>& trace)
 std::vector<std::uint64_t>
 ConformanceHarness::snapshot() const
 {
-    std::vector<std::uint64_t> out =
-        sys_.protocolSnapshot(0, config_.spanWords());
+    std::vector<std::uint64_t> out;
+    snapshot(out);
+    return out;
+}
+
+void
+ConformanceHarness::snapshot(std::vector<std::uint64_t>& out) const
+{
+    out.clear();
+    sys_.protocolSnapshot(0, config_.spanWords(), out);
     for (PeId pe = 0; pe < config_.numPes; ++pe) {
         if (!hasPending_[pe]) {
             out.push_back(0);
@@ -515,16 +544,13 @@ ConformanceHarness::snapshot() const
         out.push_back(pending_[pe].value);
     }
     ref_.snapshotState(out);
-    return out;
 }
 
 std::uint64_t
 ConformanceHarness::snapshotHash() const
 {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::uint64_t v : snapshot())
-        h = hashCombine(h, v);
-    return h;
+    const std::vector<std::uint64_t> words = snapshot();
+    return hashWords(words.data(), words.size());
 }
 
 bool

@@ -73,17 +73,32 @@ struct HarnessConfig {
     {
         return static_cast<Addr>(blocks) * blockWords;
     }
+
+    bool operator==(const HarnessConfig&) const = default;
 };
 
 /** System + RefMachine in lock-step; throws SimFault on divergence. */
 class ConformanceHarness
 {
   public:
+    /**
+     * @throws SimFault (Config) when @p config does not describe a valid
+     * System, before anything is sized from it.
+     */
     explicit ConformanceHarness(const HarnessConfig& config);
     ~ConformanceHarness();
 
     ConformanceHarness(const ConformanceHarness&) = delete;
     ConformanceHarness& operator=(const ConformanceHarness&) = delete;
+
+    /**
+     * Make this harness's state equal @p other's: the reference machine,
+     * the System (System::copyStateFrom), the attribution engine, the
+     * pending retries and the check count. Afterwards both behave
+     * identically on every command, as if this one had replayed
+     * @p other's trace. The configs must be equal (asserted).
+     */
+    void copyStateFrom(const ConformanceHarness& other);
 
     /**
      * Execute @p cmd on both machines and run every cross-check.
@@ -123,6 +138,9 @@ class ConformanceHarness
      */
     std::vector<std::uint64_t> snapshot() const;
 
+    /** snapshot() into @p out, replacing its contents (reuses capacity). */
+    void snapshot(std::vector<std::uint64_t>& out) const;
+
     /** splitmix64-style hash of snapshot(). */
     std::uint64_t snapshotHash() const;
 
@@ -135,6 +153,7 @@ class ConformanceHarness
     const HarnessConfig& config() const { return config_; }
     System& system() { return sys_; }
     const RefMachine& ref() const { return ref_; }
+    const AttributionEngine& attribution() const { return attribution_; }
 
   private:
     Addr blockBaseOf(Addr addr) const
@@ -154,6 +173,8 @@ class ConformanceHarness
     std::vector<ProtoCmd> pending_;  ///< Per-PE retry command.
     std::vector<bool> hasPending_;   ///< Retry valid (parked or woken).
     std::uint64_t checks_ = 0;
+    /** step()'s per-PE pre-command block states (reused buffer). */
+    std::vector<CacheState> preState_;
 };
 
 } // namespace pim

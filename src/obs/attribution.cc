@@ -7,6 +7,7 @@
 #include "common/fs_util.h"
 #include "common/json.h"
 #include "common/table.h"
+#include "common/xassert.h"
 
 namespace pim {
 
@@ -85,6 +86,16 @@ AttributionEngine::AttributionEngine(std::uint32_t num_pes,
       shadows_(num_pes),
       peCycles_(num_pes, std::vector<Cycles>(kNumBusBuckets, 0))
 {
+}
+
+void
+AttributionEngine::copyStateFrom(const AttributionEngine& other)
+{
+    PIM_ASSERT(numPes_ == other.numPes_ && timing_ == other.timing_ &&
+                   blockWords_ == other.blockWords_ &&
+                   capacityBlocks_ == other.capacityBlocks_,
+               "copying an attribution engine of a different shape");
+    *this = other; // every member is a value; FaShadow re-indexes itself
 }
 
 void

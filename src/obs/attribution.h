@@ -131,6 +131,13 @@ class AttributionEngine final : public EventSink
                       std::uint32_t block_words,
                       std::uint32_t capacity_blocks);
 
+    /**
+     * Make every tally, shadow and in-flight marker equal @p other's
+     * (same PE count, timing and geometry, asserted), so a copied
+     * System keeps an attribution that cross-checks exactly.
+     */
+    void copyStateFrom(const AttributionEngine& other);
+
     // -- EventSink ---------------------------------------------------------
 
     void onBusTransaction(const BusTxnEvent& event) override;
@@ -196,10 +203,36 @@ class AttributionEngine final : public EventSink
                    std::size_t top_n = 16) const;
 
   private:
-    /** Fully associative LRU shadow of one PE's total capacity. */
+    /**
+     * Fully associative LRU shadow of one PE's total capacity. A copy
+     * rebuilds @c index over its own list: copied iterators would point
+     * into the source's.
+     */
     struct FaShadow {
         std::list<Addr> lru; ///< Front = MRU.
         std::unordered_map<Addr, std::list<Addr>::iterator> index;
+
+        FaShadow() = default;
+        FaShadow(const FaShadow& other) { *this = other; }
+        FaShadow(FaShadow&&) = default;
+        FaShadow&
+        operator=(const FaShadow& other)
+        {
+            if (this != &other) {
+                lru = other.lru;
+                reindex();
+            }
+            return *this;
+        }
+        FaShadow& operator=(FaShadow&&) = default;
+
+        void
+        reindex()
+        {
+            index.clear();
+            for (auto it = lru.begin(); it != lru.end(); ++it)
+                index.emplace(*it, it);
+        }
 
         bool contains(Addr block) const { return index.count(block) != 0; }
         void touch(Addr block, std::uint32_t capacity);

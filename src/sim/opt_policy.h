@@ -81,6 +81,8 @@ struct OptPolicy {
             out.pop_back();
         return out;
     }
+
+    bool operator==(const OptPolicy&) const = default;
 };
 
 } // namespace pim

@@ -124,6 +124,21 @@ System::~System()
     }
 }
 
+void
+System::copyStateFrom(const System& other)
+{
+    PIM_ASSERT(config_ == other.config_,
+               "copying the state of a differently configured System");
+    memory_.copyStateFrom(other.memory_);
+    bus_->copyStateFrom(*other.bus_);
+    for (PeId pe = 0; pe < config_.numPes; ++pe)
+        caches_[pe]->copyStateFrom(*other.caches_[pe]);
+    clock_ = other.clock_;
+    parkedOn_ = other.parkedOn_;
+    waitersByBlock_ = other.waitersByBlock_;
+    refStats_ = other.refStats_;
+}
+
 System::Access
 System::access(PeId pe, MemOp op, Addr addr, Area area, Word wdata)
 {
@@ -276,6 +291,14 @@ std::vector<std::uint64_t>
 System::protocolSnapshot(Addr lo, Addr hi) const
 {
     std::vector<std::uint64_t> out;
+    protocolSnapshot(lo, hi, out);
+    return out;
+}
+
+void
+System::protocolSnapshot(Addr lo, Addr hi,
+                         std::vector<std::uint64_t>& out) const
+{
     out.push_back(hi - lo);
     for (Addr addr = lo; addr < hi; ++addr)
         out.push_back(memory_.read(addr));
@@ -284,16 +307,13 @@ System::protocolSnapshot(Addr lo, Addr hi) const
     bus_->snapshotPurgeMarks(lo, hi, out);
     for (PeId pe = 0; pe < config_.numPes; ++pe)
         out.push_back(parkedOn_[pe]);
-    return out;
 }
 
 std::uint64_t
 System::protocolHash(Addr lo, Addr hi) const
 {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
-    for (std::uint64_t v : protocolSnapshot(lo, hi))
-        h = hashCombine(h, v);
-    return h;
+    const std::vector<std::uint64_t> snapshot = protocolSnapshot(lo, hi);
+    return hashWords(snapshot.data(), snapshot.size());
 }
 
 PeId

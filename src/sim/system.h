@@ -62,6 +62,8 @@ struct SystemConfig {
      * (e.g. Layout::totalWords() when driving a KL1 address-space map).
      */
     void validate(std::uint64_t required_words) const;
+
+    bool operator==(const SystemConfig&) const = default;
 };
 
 /**
@@ -117,6 +119,18 @@ class System : public UnlockListener
 
     System(const System&) = delete;
     System& operator=(const System&) = delete;
+
+    /**
+     * Make this System's mutable state equal @p other's: shared memory,
+     * every cache (blocks, data, LRU, RNG, statistics, lock directory),
+     * the bus (statistics, residency masks, cluster busy times, purge
+     * marks), the clocks, the parked PEs and the reference statistics.
+     * The wiring stays as it is: sinks, observers, the reference
+     * observer, the fault injector and the run guard. The two configs
+     * must be equal (asserted). The conformance explorer branches
+     * successor states with it instead of replaying their prefixes.
+     */
+    void copyStateFrom(const System& other);
 
     /**
      * Issue one memory operation for @p pe at its current local clock.
@@ -243,6 +257,10 @@ class System : public UnlockListener
      * needs to terminate.
      */
     std::vector<std::uint64_t> protocolSnapshot(Addr lo, Addr hi) const;
+
+    /** protocolSnapshot, appended to @p out (reuses its capacity). */
+    void protocolSnapshot(Addr lo, Addr hi,
+                          std::vector<std::uint64_t>& out) const;
 
     /** 64-bit mix of protocolSnapshot (splitmix64-style). */
     std::uint64_t protocolHash(Addr lo, Addr hi) const;

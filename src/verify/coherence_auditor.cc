@@ -1,11 +1,9 @@
 #include "verify/coherence_auditor.h"
 
 #include <set>
-#include <sstream>
 
 #include "cache/state.h"
 #include "common/sim_fault.h"
-#include "verify/invariants.h"
 
 namespace pim {
 
@@ -86,14 +84,15 @@ CoherenceAuditor::afterAccess(PeId pe, MemOp op, Addr addr, Area area,
         }
     }
 
-    std::ostringstream context;
-    context << "after pe" << pe << " " << memOpName(op) << " at address "
-            << addr;
-    auditBlock(base, context.str());
+    const auto describe_access = [&] {
+        return formatMsg("after pe", pe, " ", memOpName(op),
+                         " at address ", addr);
+    };
+    auditBlock(base, describe_access);
 }
 
 void
-CoherenceAuditor::auditBlock(Addr block_base, const std::string& context)
+CoherenceAuditor::auditBlock(Addr block_base, const CheckContext& context)
 {
     checksRun_ += 1;
     // The invariant logic itself is shared with the offline conformance

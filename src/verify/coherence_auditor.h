@@ -28,6 +28,7 @@
 
 #include "common/types.h"
 #include "sim/system.h"
+#include "verify/invariants.h"
 
 namespace pim {
 
@@ -63,7 +64,7 @@ class CoherenceAuditor : public AccessObserver
     Addr blockBaseOf(Addr addr) const;
 
     /** Shared block invariants for the block containing @p addr. */
-    void auditBlock(Addr block_base, const std::string& context);
+    void auditBlock(Addr block_base, const CheckContext& context);
 
     /** Shadow check for one read. */
     void checkReadValue(PeId pe, MemOp op, Addr addr, Word data);

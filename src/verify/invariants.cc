@@ -41,7 +41,7 @@ describeBlockState(const System& system, Addr block_base)
 
 void
 checkBlockInvariants(const System& system, Addr block_base,
-                     const std::string& context)
+                     const CheckContext& context)
 {
     const std::uint32_t words = system.config().cache.geometry.blockWords;
     block_base = blockBaseOf(system, block_base);
@@ -121,17 +121,10 @@ checkBlockInvariants(const System& system, Addr block_base,
     // riding along) and the LH response inhibits every remote F/FI until
     // the UL broadcast, so no copy can appear elsewhere while locked.
     for (PeId holder = 0; holder < system.numPes(); ++holder) {
-        bool locked = false;
-        const auto& dir = system.cache(holder).lockDirectory();
-        for (const auto& [addr, state] : dir.entries()) {
-            (void)state;
-            if (blockBaseOf(system, addr) == block_base) {
-                locked = true;
-                break;
-            }
-        }
-        if (!locked)
+        if (!system.cache(holder).lockDirectory().holdsInBlock(block_base,
+                                                               words)) {
             continue;
+        }
         for (PeId pe = 0; pe < system.numPes(); ++pe) {
             if (pe == holder)
                 continue;
@@ -167,7 +160,7 @@ busPatternCost(BusPattern pattern, const BusTiming& timing)
 
 void
 checkBusAccounting(const BusStats& before, const BusStats& after,
-                   const BusTiming& timing, const std::string& context)
+                   const BusTiming& timing, const CheckContext& context)
 {
     Cycles pattern_sum = 0;
     for (int i = 0; i < kNumBusPatterns; ++i) {

@@ -30,7 +30,9 @@
 #ifndef PIMCACHE_VERIFY_INVARIANTS_H_
 #define PIMCACHE_VERIFY_INVARIANTS_H_
 
+#include <ostream>
 #include <string>
+#include <type_traits>
 
 #include "bus/bus.h"
 #include "common/types.h"
@@ -38,6 +40,50 @@
 namespace pim {
 
 class System;
+
+/**
+ * The who/what/when prefix of a violation message ("step P0:W@0=1",
+ * "after pe2 R at address 7"), built only when a check fails: the
+ * checks run on every step of the explorer and every audited access,
+ * and formatting the prefix up front cost more than the checks. Wraps
+ * a fixed string or any callable returning std::string; the wrapped
+ * object must outlive the context.
+ */
+class CheckContext
+{
+  public:
+    CheckContext(const char* text)
+        : object_(text),
+          build_([](const void* object) {
+              return std::string(static_cast<const char*>(object));
+          })
+    {
+    }
+
+    template <typename Fn,
+              typename = std::enable_if_t<
+                  std::is_invocable_r_v<std::string, const Fn&>>>
+    CheckContext(const Fn& build)
+        : object_(&build),
+          build_([](const void* object) {
+              return std::string((*static_cast<const Fn*>(object))());
+          })
+    {
+    }
+
+    /** The prefix text. */
+    std::string str() const { return build_(object_); }
+
+  private:
+    const void* object_;
+    std::string (*build_)(const void*);
+};
+
+inline std::ostream&
+operator<<(std::ostream& out, const CheckContext& context)
+{
+    return out << context.str();
+}
 
 /**
  * "block N [pe0=EM pe1=INV ...] memory: ..." — the per-cache states and
@@ -51,7 +97,7 @@ std::string describeBlockState(const System& system, Addr block_base);
  * @throws SimFault (Protocol) on the first violation.
  */
 void checkBlockInvariants(const System& system, Addr block_base,
-                          const std::string& context);
+                          const CheckContext& context);
 
 /**
  * Check the bus-accounting invariant over the delta from @p before to
@@ -61,7 +107,8 @@ void checkBlockInvariants(const System& system, Addr block_base,
  * @throws SimFault (Protocol) on a mismatch.
  */
 void checkBusAccounting(const BusStats& before, const BusStats& after,
-                        const BusTiming& timing, const std::string& context);
+                        const BusTiming& timing,
+                        const CheckContext& context);
 
 /** The fixed BusTiming cost of one transaction of @p pattern. */
 Cycles busPatternCost(BusPattern pattern, const BusTiming& timing);

@@ -309,5 +309,44 @@ TEST(AttributionJson, CrossCheckReportsDoctoredStats)
     EXPECT_NE(rig.attr->crossCheck(doctored), "");
 }
 
+// ------------------------------------------------------------- copies
+
+TEST(AttributionCopy, MutatingTheCopyLeavesTheSourceUntouched)
+{
+    Rig source;
+    source.access(0, MemOp::R, 0);
+    source.access(0, MemOp::R, 16);
+    source.access(1, MemOp::W, 4, 3);
+    const std::string before = source.attr->report();
+
+    Rig copy;
+    copy.access(1, MemOp::R, 32); // state the copy must overwrite
+    copy.sys->copyStateFrom(*source.sys);
+    copy.attr->copyStateFrom(*source.attr);
+    EXPECT_EQ(copy.attr->report(), before);
+    copy.checkExact();
+
+    // Re-read block 0, which the copy's fully associative shadow holds
+    // (a conflict miss), then 32 pushes 16 out of it (16 is then a
+    // capacity miss). Were the copied LRU index still pointing into the
+    // source's list, the first touch would unlink the source's node.
+    copy.access(0, MemOp::R, 0);
+    copy.access(0, MemOp::R, 32);
+    copy.access(0, MemOp::R, 16);
+    EXPECT_EQ(copy.attr->missCount(MissClass::Conflict), 1u);
+    EXPECT_EQ(copy.attr->missCount(MissClass::Capacity), 1u);
+    copy.checkExact();
+    EXPECT_EQ(source.attr->report(), before);
+    source.checkExact();
+
+    // The source classifies as if it had never been copied: 32 pushes
+    // 0 out of its shadow, so re-reading 0 is a capacity miss.
+    source.access(0, MemOp::R, 32);
+    source.access(0, MemOp::R, 0);
+    EXPECT_EQ(source.attr->missCount(MissClass::Capacity), 1u);
+    EXPECT_EQ(source.attr->missCount(MissClass::Conflict), 0u);
+    source.checkExact();
+}
+
 } // namespace
 } // namespace pim

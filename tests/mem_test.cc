@@ -120,6 +120,43 @@ TEST(PagedStore, SparseAllocation)
     EXPECT_EQ(store.read(1ull << 29), 2u);
 }
 
+TEST(PagedStore, CopyStateFollowsTheSourcesPages)
+{
+    constexpr Addr kPage = PagedStore::kPageWords;
+    PagedStore source(3 * kPage);
+    PagedStore copy(3 * kPage);
+    source.write(10, 7);         // page 0: in the source only
+    copy.write(2 * kPage + 1, 9); // page 2: in the destination only
+    copy.write(2 * kPage + 2, 4);
+
+    copy.copyStateFrom(source);
+    EXPECT_EQ(copy.read(10), 7u);
+    EXPECT_EQ(copy.read(2 * kPage + 1), 0u);
+    EXPECT_EQ(copy.read(2 * kPage + 2), 0u);
+    EXPECT_EQ(copy.pagesAllocated(), 1u);
+
+    // The copy owns its pages: writing one leaves the source alone,
+    // and a page the source gains later is not shared either.
+    copy.write(10, 8);
+    copy.write(kPage, 5);
+    EXPECT_EQ(source.read(10), 7u);
+    EXPECT_EQ(source.read(kPage), 0u);
+    EXPECT_EQ(source.pagesAllocated(), 1u);
+}
+
+TEST(PagedStore, CopyStateOfAPartialPage)
+{
+    // A memory smaller than a page copies only its own words.
+    PagedStore source(6);
+    PagedStore copy(6);
+    for (Addr a = 0; a < 6; ++a)
+        source.write(a, a + 1);
+    copy.write(3, 99);
+    copy.copyStateFrom(source);
+    for (Addr a = 0; a < 6; ++a)
+        EXPECT_EQ(copy.read(a), a + 1);
+}
+
 TEST(PagedStoreDeath, OutOfRange)
 {
     PagedStore store(100);

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <set>
+#include <utility>
+
 #include "common/sim_fault.h"
 #include "model/explorer.h"
 #include "model/fuzzer.h"
@@ -185,6 +189,46 @@ TEST(Harness, SnapshotIsScheduleCanonical)
     EXPECT_NE(a.snapshot(), b.snapshot()); // LRU/ownership order differs
 }
 
+TEST(Harness, InvalidConfigIsAConfigFaultBeforeSizing)
+{
+    // A wrapped negative block size used to size the reference machine
+    // (and die in std::bad_alloc) before the System validated it.
+    HarnessConfig config = tinyConfig();
+    config.blockWords = static_cast<std::uint32_t>(-2);
+    try {
+        ConformanceHarness harness(config);
+        FAIL() << "accepted blockWords " << config.blockWords;
+    } catch (const SimFault& fault) {
+        EXPECT_EQ(fault.kind(), SimFaultKind::Config);
+        EXPECT_NE(fault.message().find("blockWords"), std::string::npos)
+            << fault.message();
+    }
+}
+
+TEST(Harness, CopyStateBehavesLikeTheSource)
+{
+    ConformanceHarness source(tinyConfig());
+    source.step(cmd(0, MemOp::LR, 0));
+    source.step(cmd(1, MemOp::R, 0)); // parks on P0's lock
+
+    ConformanceHarness copy(tinyConfig());
+    copy.step(cmd(1, MemOp::W, 1, 2)); // state the copy must overwrite
+    copy.copyStateFrom(source);
+    EXPECT_EQ(copy.snapshot(), source.snapshot());
+    EXPECT_TRUE(copy.anyParked());
+    EXPECT_EQ(copy.enabledCommands(), source.enabledCommands());
+
+    // The same unlock wakes the same waiter in both, and diverging
+    // afterwards leaves the source where it was.
+    copy.step(cmd(0, MemOp::UW, 0, 11));
+    source.step(cmd(0, MemOp::UW, 0, 11));
+    EXPECT_EQ(copy.snapshot(), source.snapshot());
+    const std::vector<std::uint64_t> before = source.snapshot();
+    copy.step(cmd(1, MemOp::R, 0));
+    EXPECT_EQ(source.snapshot(), before);
+    EXPECT_NE(copy.snapshot(), before);
+}
+
 TEST(Harness, EnabledRespectsLockOwnership)
 {
     ConformanceHarness harness(tinyConfig());
@@ -205,8 +249,11 @@ TEST(Explorer, CleanProtocolHasNoDivergence)
     const ExploreResult result = explore(config);
     EXPECT_FALSE(result.divergence) << result.divergenceMessage;
     EXPECT_FALSE(result.truncated);
-    EXPECT_GT(result.states, 100u);
-    EXPECT_GT(result.edges, result.states);
+    EXPECT_EQ(result.states, 9660u);
+    EXPECT_EQ(result.edges, 63004u);
+    // One step per edge plus one per node rebuilt past the prefix it
+    // shares with the node built before it.
+    EXPECT_EQ(result.checks, 76491u);
 }
 
 TEST(Explorer, ThreePeTwoBlockCleanSlice)
@@ -219,6 +266,8 @@ TEST(Explorer, ThreePeTwoBlockCleanSlice)
     config.depth = 4;
     const ExploreResult result = explore(config);
     EXPECT_FALSE(result.divergence) << result.divergenceMessage;
+    EXPECT_EQ(result.states, 325284u);
+    EXPECT_EQ(result.edges, 1352064u);
 }
 
 class ExplorerMutation
@@ -237,6 +286,23 @@ TEST_P(ExplorerMutation, IsCaughtWithShortTrace)
         << " was not detected";
     EXPECT_LE(result.divergenceTrace.size(), 12u);
     EXPECT_FALSE(result.divergenceMessage.empty());
+    // The search reaches the divergence through the same states and
+    // edges on every build of the explorer.
+    struct Counts {
+        ProtocolMutation mutation;
+        std::uint64_t states;
+        std::uint64_t edges;
+    };
+    for (const Counts& want :
+         {Counts{ProtocolMutation::SmSharedAsClean, 21, 69},
+          Counts{ProtocolMutation::WriteSharedSkipsInv, 139, 398},
+          Counts{ProtocolMutation::ErKeepsSupplier, 16, 46},
+          Counts{ProtocolMutation::UnlockDropsUl, 306, 860}}) {
+        if (want.mutation == GetParam()) {
+            EXPECT_EQ(result.states, want.states);
+            EXPECT_EQ(result.edges, want.edges);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -248,6 +314,112 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<ProtocolMutation>& info) {
         return protocolMutationName(info.param);
     });
+
+// --------------------------------------------------------------- branching
+
+/**
+ * Everything copyStateFrom must carry, including what snapshot() leaves
+ * out: bus and cache statistics, clocks, reference counts, the check
+ * count and the attribution tallies.
+ */
+void
+expectSameState(ConformanceHarness& branched, ConformanceHarness& replayed,
+                const std::string& trace)
+{
+    EXPECT_EQ(branched.snapshot(), replayed.snapshot()) << trace;
+    EXPECT_EQ(branched.checksRun(), replayed.checksRun()) << trace;
+    const System& a = branched.system();
+    const System& b = replayed.system();
+    EXPECT_TRUE(a.bus().stats() == b.bus().stats()) << trace;
+    for (PeId pe = 0; pe < a.numPes(); ++pe) {
+        EXPECT_EQ(a.clock(pe), b.clock(pe)) << trace;
+        EXPECT_TRUE(a.cache(pe).stats() == b.cache(pe).stats()) << trace;
+    }
+    for (int area = 0; area < kNumAreaSlots; ++area) {
+        for (int op = 0; op < kNumMemOps; ++op) {
+            EXPECT_EQ(a.refStats().count(static_cast<Area>(area),
+                                         static_cast<MemOp>(op)),
+                      b.refStats().count(static_cast<Area>(area),
+                                         static_cast<MemOp>(op)))
+                << trace;
+        }
+    }
+    EXPECT_EQ(branched.attribution().crossCheck(a.bus().stats()), "")
+        << trace;
+    EXPECT_EQ(branched.attribution().report(),
+              replayed.attribution().report())
+        << trace;
+}
+
+/**
+ * Walk every node of the exploration of @p config to @p depth in BFS
+ * order. Each node is built by branching: copying its parent's state
+ * into a harness that held an unrelated state, then stepping one
+ * command, down the node's whole trace. It must equal a fresh replay
+ * of the trace. @return Distinct states walked.
+ */
+std::uint64_t
+walkBranchedNodes(const HarnessConfig& config, std::uint32_t depth)
+{
+    ConformanceHarness root(config);
+    ConformanceHarness ping(config);
+    ConformanceHarness pong(config);
+    std::set<std::vector<std::uint64_t>> visited = {root.snapshot()};
+    std::deque<std::vector<ProtoCmd>> frontier = {{}};
+    while (!frontier.empty()) {
+        const std::vector<ProtoCmd> trace = std::move(frontier.front());
+        frontier.pop_front();
+
+        ConformanceHarness* node = &ping;
+        ConformanceHarness* spare = &pong;
+        node->copyStateFrom(root);
+        for (const ProtoCmd& next : trace) {
+            spare->copyStateFrom(*node);
+            spare->step(next);
+            std::swap(node, spare);
+        }
+        ConformanceHarness replayed(config);
+        replayed.replay(trace);
+        expectSameState(*node, replayed, traceToString(trace));
+        if (::testing::Test::HasFailure() || trace.size() >= depth)
+            continue;
+
+        for (const ProtoCmd& next : node->enabledCommands()) {
+            spare->copyStateFrom(*node);
+            spare->step(next);
+            if (visited.insert(spare->snapshot()).second) {
+                std::vector<ProtoCmd> extended = trace;
+                extended.push_back(next);
+                frontier.push_back(std::move(extended));
+            }
+        }
+    }
+    return visited.size();
+}
+
+TEST(ExplorerBranching, EveryNodeMatchesAFreshReplay)
+{
+    HarnessConfig config = tinyConfig();
+    EXPECT_EQ(walkBranchedNodes(config, 6), 20332u);
+
+    config.protocol = ProtocolKind::Dragon;
+    EXPECT_EQ(walkBranchedNodes(config, 6), 21472u);
+
+    config = tinyConfig();
+    config.numPes = 3;
+    config.clusterSize = 1;
+    EXPECT_EQ(walkBranchedNodes(config, 3), 4127u);
+
+    // Eviction pressure (three one-word blocks in two ways): the LRU
+    // ticks and the random-replacement RNG must survive the copy.
+    config = tinyConfig();
+    config.blocks = 3;
+    config.blockWords = 1;
+    config.ways = 2;
+    EXPECT_EQ(walkBranchedNodes(config, 3), 4585u);
+    config.replacement = ReplacementKind::Random;
+    EXPECT_EQ(walkBranchedNodes(config, 3), 4777u);
+}
 
 // ------------------------------------------------------------------ fuzzer
 

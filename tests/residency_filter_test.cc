@@ -241,6 +241,40 @@ TEST(ResidencyFilterUnit, NonPowerOfTwoBlockWordsStillIndexes)
     EXPECT_EQ(filter.trackedCopyBlocks(), 3u);
 }
 
+TEST(ResidencyFilterUnit, CopyStateFollowsTheSourcesPages)
+{
+    const Addr far = ResidencyFilter::kPageBlocks * 4 * 3; // page 3
+    ResidencyFilter source;
+    ResidencyFilter copy;
+    for (ResidencyFilter* filter : {&source, &copy}) {
+        filter->setBlockWords(4);
+        for (PeId pe = 0; pe < 70; ++pe) // two mask words
+            filter->registerPe(pe);
+    }
+    source.addCopy(65, 8);          // page 0: in the source only
+    source.setLockResident(2, 8, true);
+    copy.addCopy(1, far);           // page 3: in the destination only
+    copy.setLockResident(66, far, true);
+    copy.addCopy(3, 4);             // page 0 entry the source lacks
+
+    copy.copyStateFrom(source);
+    EXPECT_EQ(copy.copyMask(8), source.copyMask(8));
+    EXPECT_EQ(copy.lockMask(8), source.lockMask(8));
+    EXPECT_FALSE(copy.copyMask(4).any());
+    EXPECT_FALSE(copy.copyMask(far).any());
+    EXPECT_FALSE(copy.lockMask(far).any());
+    EXPECT_EQ(copy.trackedCopyBlocks(), 1u);
+    EXPECT_EQ(copy.trackedLockBlocks(), 1u);
+
+    // Masks set past the source's highest entry after the copy, then
+    // copied over again, are cleared: the copy's extent covers both.
+    copy.addCopy(0, 4 * 100);
+    copy.copyStateFrom(source);
+    EXPECT_FALSE(copy.copyMask(4 * 100).any());
+    copy.removeCopy(65, 8);
+    EXPECT_TRUE(source.copyMask(8).any()) << "the copy shares no page";
+}
+
 // ---------------------------------------------------------------------
 // System-level exactness: masks versus cache/lock-directory ground
 // truth after every protocol event kind.
